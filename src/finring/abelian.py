@@ -83,8 +83,8 @@ def partitions(total: int) -> list:
     return out
 
 
-def abelian_groups_of_order(n: int) -> list:
-    """Factor tuples of every abelian group of order n, invariants descending per prime."""
+def _factorize(n: int) -> dict:
+    """{p: e} with n the product of p**e, by trial division; primes ascending."""
     fac = {}
     m = n
     p = 2
@@ -93,8 +93,13 @@ def abelian_groups_of_order(n: int) -> list:
             fac[p] = fac.get(p, 0) + 1
             m //= p
         p += 1 if p == 2 else 2
+    return fac
+
+
+def abelian_groups_of_order(n: int) -> list:
+    """Factor tuples of every abelian group of order n, invariants descending per prime."""
     per_prime = []
-    for p, e in sorted(fac.items()):
+    for p, e in _factorize(n).items():
         per_prime.append([(p, lam) for lam in partitions(e)])
     groups = [()]
     for choices in per_prime:

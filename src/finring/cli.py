@@ -5,12 +5,14 @@
     finring decompose 'sum(M(2,GF(2)),U(2,GF(2)))'
     finring iso 'Zn(4)' 'F2<x>/(x^2)'
     finring enumerate 8 --census
-    finring verify --deep --jobs 4
+    finring verify --deep
     finring export 'GA(GF(2),Q8)' --out f2q8.ringtab
     finring import f2q8.ringtab
 
 `verify` exits 0 only when every corpus expectation and invariant suite
-passes; `verify-paper` is an alias for it.
+passes.  `--deep` applies to props, import, enumerate and verify; `--seed`
+to enumerate and verify, where it shuffles the search order and never
+changes the output.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    rings = enumerate_unital(args.order, deep=args.deep, seed=args.seed, jobs=args.jobs)
+    rings = enumerate_unital(args.order, deep=args.deep, seed=args.seed)
     print(f"order {args.order}: {len(rings)} isomorphism classes")
     if args.census:
         cap = MAX_ORDER if args.deep else 0
@@ -99,7 +101,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rep = verify_corpus(deep=args.deep, seed=args.seed, jobs=args.jobs)
+    rep = verify_corpus(deep=args.deep, seed=args.seed)
     text = rep.as_kv() if args.kv else rep.as_text()
     print(text)
     if args.out:
@@ -128,61 +130,60 @@ def main(argv=None) -> int:
                                   description="finite unital ring computations")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def deep(p):
         p.add_argument("--deep", action="store_true",
                        help="opt into expensive checks (order-16 enumeration, "
                             "nilpotent-quotient scans on large rings)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=None,
-                       help="shuffle search order (results must not change)")
+                       help="shuffle the enumeration search order; the output "
+                            "is the same for every seed")
 
     p = sub.add_parser("build", help="build a ring and show a summary")
     p.add_argument("expr", help="ring expression, presentation, or RINGTAB path")
     p.add_argument("--out", default=None, help="also export as RINGTAB")
-    common(p)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("props", help="full property profile")
     p.add_argument("expr")
     p.add_argument("--kv", action="store_true", help="machine-readable key=value lines")
-    common(p)
+    deep(p)
     p.set_defaults(fn=_cmd_props)
 
     p = sub.add_parser("decompose", help="idempotent splitting and component report")
     p.add_argument("expr")
-    common(p)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("iso", help="isomorphism test; exit 0 yes, 1 no, 2 undecided")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--mapping", action="store_true", help="print the element mapping")
-    common(p)
     p.set_defaults(fn=_cmd_iso)
 
     p = sub.add_parser("enumerate", help="all unital rings of a given order")
     p.add_argument("order", type=int)
     p.add_argument("--census", action="store_true", help="property census table")
     p.add_argument("--out", default=None, help="directory for RINGTAB exports")
-    common(p)
+    deep(p)
+    seed(p)
     p.set_defaults(fn=_cmd_enumerate)
 
-    for name in ("verify", "verify-paper"):
-        p = sub.add_parser(name, help="run the full expectation and invariant suite")
-        p.add_argument("--kv", action="store_true", help="machine-readable output")
-        p.add_argument("--out", default=None, help="write machine report to a file")
-        common(p)
-        p.set_defaults(fn=_cmd_verify)
+    p = sub.add_parser("verify", help="run the full expectation and invariant suite")
+    p.add_argument("--kv", action="store_true", help="machine-readable output")
+    p.add_argument("--out", default=None, help="write machine report to a file")
+    deep(p)
+    seed(p)
+    p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("export", help="write a ring as a RINGTAB file")
     p.add_argument("expr")
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(fn=_cmd_export)
 
     p = sub.add_parser("import", help="read and re-verify a RINGTAB file")
     p.add_argument("path")
-    common(p)
+    deep(p)
     p.set_defaults(fn=_cmd_import)
 
     args = top.parse_args(argv)

@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .construct import (
     column_bimodule,
     cyclic,
@@ -22,13 +24,14 @@ from .construct import (
     galois,
     matrix_ring,
 )
-from .peirce import peirce
+from .peirce import _split_checks, peirce
 from .enumeration import enumerate_unital
 from .errors import FinringError
 from .expr import parse_ring_expr
 from .iso import is_isomorphic
 from .properties import (
     PropertyProfile,
+    _additive_closure,
     is_left_duo,
     is_reflexive,
     is_reversible,
@@ -308,22 +311,16 @@ def _check_basis_span(R: RingTable, words: tuple) -> str:
         return (f"basis_span: build has {len(build.basis_words)} basis words, "
                 f"expected {len(words)}")
     name_to_elt = dict(zip(build.presentation.gens, gens))
-    elts = []
+    mask = np.zeros(R.order, dtype=bool)
+    mask[R.zero] = True
     for w in words:
         e = R.one
         for nm in w:
             e = int(R.mul[e, name_to_elt[nm]])
-        elts.append(e)
-    span = {R.zero}
-    for e in elts:
-        grow = set(span)
-        x = e
-        while x not in grow:
-            grow |= {int(R.add[x, s]) for s in span}
-            x = int(R.add[x, e])
-        span = grow
-    if len(span) != R.order:
-        return f"basis_span: claimed words span {len(span)} of {R.order} elements"
+        mask[e] = True
+    span = int(_additive_closure(R, mask).sum())
+    if span != R.order:
+        return f"basis_span: claimed words span {span} of {R.order} elements"
     return ""
 
 
@@ -408,17 +405,10 @@ def _suite_split(built: list) -> SuiteResult:
     s = SuiteResult("structure split")
     for name, R, prof in built:
         D = peirce(R)
-        j = jacobson_radical(R)
-        jset = set(int(x) for x in j.indices())
-        mset = set(int(x) for x in D.m_elements.indices())
-        checks = (
-            ("abelian iff trivial glue and local components",
-             prof.abelian == (len(D.m_elements) == 1 and D.all_components_local)),
-            ("ni iff local components", prof.ni == D.all_components_local),
-            ("square-zero glue forces nonreflexive",
-             not (len(D.m_elements) > 1 and D.m_square_zero) or not prof.reflexive),
-            ("glue inside radical", mset <= jset),
-        )
+        checks = [(c.name, c.agree)
+                  for c in _split_checks(D, prof.abelian, prof.ni, prof.reflexive)]
+        checks.append(("glue inside radical",
+                        D.m_elements.members <= jacobson_radical(R).members))
         for label, ok in checks:
             s.checked += 1
             if not ok:
@@ -426,11 +416,11 @@ def _suite_split(built: list) -> SuiteResult:
     return s
 
 
-def _suite_enumeration(deep: bool, seed=None, jobs: int = 1) -> SuiteResult:
+def _suite_enumeration(deep: bool, seed=None) -> SuiteResult:
     s = SuiteResult("enumeration counts", note="deep" if deep else "small orders")
     expected = {2: 1, 3: 1, 4: 4, 5: 1, 7: 1, 8: 11, 9: 4}
     for order, want in sorted(expected.items()):
-        rings = enumerate_unital(order, seed=seed, jobs=jobs)
+        rings = enumerate_unital(order, seed=seed)
         s.checked += 1
         if len(rings) != want:
             s.violations.append(f"order {order}: {len(rings)} classes, expected {want}")
@@ -448,7 +438,7 @@ def _suite_enumeration(deep: bool, seed=None, jobs: int = 1) -> SuiteResult:
             s.violations.append("order 8: the noncommutative class is not the "
                                 "triangular matrix ring")
     if deep:
-        rings16 = enumerate_unital(16, deep=True, seed=seed, jobs=jobs)
+        rings16 = enumerate_unital(16, deep=True, seed=seed)
         profs = [profile(R, ps_i_cap=0) for R in rings16]
         noncomm16 = sum(1 for p in profs if not p.commutative)
         nonni = [R for R, p in zip(rings16, profs) if not p.ni]
@@ -468,8 +458,7 @@ def _suite_enumeration(deep: bool, seed=None, jobs: int = 1) -> SuiteResult:
     return s
 
 
-def verify_corpus(deep: bool = False, ps_i_cap: int = 64, seed=None,
-                  jobs: int = 1) -> VerificationReport:
+def verify_corpus(deep: bool = False, ps_i_cap: int = 64, seed=None) -> VerificationReport:
     """Build and check every entry, then run the cross-cutting suites."""
     t0 = time.time()
     results = []
@@ -485,6 +474,6 @@ def verify_corpus(deep: bool = False, ps_i_cap: int = 64, seed=None,
         _suite_opposite(built),
         _suite_local_cube(built),
         _suite_split(built),
-        _suite_enumeration(deep, seed=seed, jobs=jobs),
+        _suite_enumeration(deep, seed=seed),
     ]
     return VerificationReport(results, suites, time.time() - t0)

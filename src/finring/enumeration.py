@@ -193,13 +193,14 @@ def _dedup(tables):
     return reps
 
 
-def enumerate_unital(order: int, deep: bool = False, seed=None, jobs: int = 1):
+def enumerate_unital(order: int, deep: bool = False, seed=None):
     """All isomorphism classes of unital rings of the given order.
 
     Orders 2,3,4,5,7,8,9 run directly; 16 is a long run and must be opted
-    into with deep=True.  seed shuffles branching order (the class list is
-    invariant); jobs>1 splits the dominant group's first slot across
-    processes.
+    into with deep=True.  seed shuffles the search's branching order only:
+    each group's survivors are sorted before tables are built, so the
+    classes, their order and their representative tables are the same for
+    every seed.
     """
     if order in DEEP_ORDERS:
         if not deep:
@@ -214,11 +215,7 @@ def enumerate_unital(order: int, deep: bool = False, seed=None, jobs: int = 1):
         groups = [groups[i] for i in rng.permutation(len(groups))]
     for factors in groups:
         search = _GroupSearch(factors, seed=seed)
-        if jobs > 1 and search.r >= 3:
-            rows = _parallel_survivors(search, jobs)
-        else:
-            rows = search.survivors()
-        for row in rows:
+        for row in np.unique(search.survivors(), axis=0):
             T = search.table(row)
             report = verify_axioms(T)
             if not report.passed:
@@ -229,34 +226,6 @@ def enumerate_unital(order: int, deep: bool = False, seed=None, jobs: int = 1):
     reps = _dedup(tables)
     reps.sort(key=fingerprint)
     return reps
-
-
-def _parallel_survivors(search: _GroupSearch, jobs: int) -> np.ndarray:
-    """Split the first slot's candidates across processes."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    cand = search.omega[0]
-    chunks = np.array_split(cand, min(jobs, len(cand)))
-    args = [
-        (tuple(int(f) for f in search.G.factors), None, chunk.tolist())
-        for chunk in chunks
-        if len(chunk)
-    ]
-    outs = []
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        for got in ex.map(_survivors_worker, args):
-            if len(got):
-                outs.append(np.asarray(got, dtype=np.int16))
-    if not outs:
-        return np.zeros((0, len(search.schedule)), dtype=np.int16)
-    return np.vstack(outs)
-
-
-def _survivors_worker(arg):
-    factors, seed, first_slot = arg
-    search = _GroupSearch(factors, seed=seed)
-    search.omega[0] = np.asarray(first_slot, dtype=np.int16)
-    return search.survivors().tolist()
 
 
 @dataclass

@@ -15,23 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalCheckError
-from .properties import jacobson_radical
+from .properties import _nilpotency_index, jacobson_radical
 from .table import RingTable, additive_type
 
 DEFAULT_NODE_BUDGET = 10_000_000
-
-
-def _nilpotency_index(R: RingTable) -> np.ndarray:
-    """Per element: least k with x^k = 0, or 0 when x is not nilpotent."""
-    n = R.order
-    base = np.arange(n, dtype=np.int16)
-    cur = base.copy()
-    out = np.zeros(n, dtype=np.int64)
-    for k in range(1, n + 1):
-        hit = (cur == R.zero) & (out == 0)
-        out[hit] = k
-        cur = R.mul[cur, base]
-    return out
 
 
 def element_invariants(R: RingTable) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .properties import (
+    _additive_closure,
     is_abelian,
     is_local,
     is_ni,
@@ -62,11 +63,13 @@ def _corner(R: RingTable, e: int, f: int):
     return sorted(set(int(v) for v in vals))
 
 
-def _additive_span(R: RingTable, parts):
-    cur = {R.zero}
+def _sum_of(R: RingTable, parts) -> np.ndarray:
+    """Sorted elements of the sum of additive subgroups: the closure of their union."""
+    mask = np.zeros(R.order, dtype=bool)
+    mask[R.zero] = True
     for part in parts:
-        cur = {int(R.add[a, b]) for a in cur for b in part}
-    return cur
+        mask[list(part)] = True
+    return np.flatnonzero(_additive_closure(R, mask))
 
 
 @dataclass
@@ -103,7 +106,7 @@ def peirce(R: RingTable) -> Decomposition:
     """Decompose R along lifted primitive central idempotents of R/J."""
     J = jacobson_radical(R)
     Q = quotient(R, J)
-    proj = projection_map(R, Q, J)
+    proj = projection_map(R, J)
 
     cents = sorted(central_idempotents(Q).members - {Q.zero})
     prim = []
@@ -146,8 +149,8 @@ def peirce(R: RingTable) -> Decomposition:
             if i != j:
                 modules[(i, j)] = _corner(R, chosen[i], chosen[j])
 
-    s_set = _additive_span(R, comp_sets)
-    m_set = _additive_span(R, list(modules.values())) if modules else {R.zero}
+    s_set = _sum_of(R, comp_sets)
+    m_set = _sum_of(R, modules.values())
 
     size_s = 1
     for cs in comp_sets:
@@ -162,7 +165,7 @@ def peirce(R: RingTable) -> Decomposition:
     if len(s_set) * len(m_set) != R.order:
         raise InternalCheckError("decomposition sizes do not reconstruct the ring order")
 
-    m_es = ElementSet.from_iterable(R, sorted(m_set))
+    m_es = ElementSet.from_iterable(R, m_set)
     if not m_es.members <= J.members:
         raise InternalCheckError("glue module is not inside the radical")
 
@@ -172,8 +175,7 @@ def peirce(R: RingTable) -> Decomposition:
         if len(central_idempotents(CQ)) != (2 if CQ.order > 1 else 1):
             raise InternalCheckError(f"corner {i+1} is not primary")
 
-    midx = np.array(sorted(m_set), dtype=np.int64)
-    msq = bool((R.mul[np.ix_(midx, midx)] == R.zero).all())
+    msq = bool((R.mul[np.ix_(m_set, m_set)] == R.zero).all())
 
     dec = Decomposition(
         ring=R,
@@ -181,7 +183,7 @@ def peirce(R: RingTable) -> Decomposition:
         components=components,
         component_elements=tuple(comp_sets),
         modules=modules,
-        s_elements=ElementSet.from_iterable(R, sorted(s_set)),
+        s_elements=ElementSet.from_iterable(R, s_set),
         m_elements=m_es,
         all_components_local=all(is_local(C) for C in components),
         m_nonzero=len(m_set) > 1,
@@ -190,10 +192,6 @@ def peirce(R: RingTable) -> Decomposition:
     if msq:
         _verify_split_model(dec)
     return dec
-
-
-def m_square_zero(D: Decomposition) -> bool:
-    return D.m_square_zero
 
 
 def _verify_split_model(D: Decomposition) -> None:
@@ -253,35 +251,25 @@ class DecompositionReport:
         return "\n".join(out)
 
 
+def _split_checks(D: Decomposition, abelian: bool, ni: bool, reflexive: bool) -> list:
+    """The block-split laws: the decomposition's prediction of each flag."""
+    pred = (not D.m_nonzero) and D.all_components_local
+    checks = [
+        CheckResult("abelian iff no glue and local corners", pred, abelian, pred == abelian),
+        CheckResult("NI iff all corners local", D.all_components_local, ni,
+                    D.all_components_local == ni),
+    ]
+    name = "square-zero glue forces nonreflexive"
+    if D.m_nonzero and D.m_square_zero:
+        checks.append(CheckResult(name, False, reflexive, reflexive is False))
+    else:
+        checks.append(CheckResult(name, None, reflexive, True,
+                                  note=" (vacuous: no square-zero glue)"))
+    return checks
+
+
 def decomposition_report(R: RingTable) -> DecompositionReport:
     """Cross-check the decomposition flags against the scan-based predicates."""
     D = peirce(R)
-    checks = []
-
-    pred = (not D.m_nonzero) and D.all_components_local
-    act = is_abelian(R)
-    checks.append(
-        CheckResult("abelian iff no glue and local corners", pred, act, pred == act)
-    )
-
-    pred = D.all_components_local
-    act = is_ni(R)
-    checks.append(CheckResult("NI iff all corners local", pred, act, pred == act))
-
-    applicable = D.m_nonzero and D.m_square_zero
-    act = is_reflexive(R)
-    if applicable:
-        checks.append(
-            CheckResult("square-zero glue forces nonreflexive", False, act, act is False)
-        )
-    else:
-        checks.append(
-            CheckResult(
-                "square-zero glue forces nonreflexive",
-                None,
-                act,
-                True,
-                note=" (vacuous: no square-zero glue)",
-            )
-        )
+    checks = _split_checks(D, is_abelian(R), is_ni(R), is_reflexive(R))
     return DecompositionReport(R, D, tuple(checks))

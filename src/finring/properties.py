@@ -17,6 +17,8 @@ from .errors import InternalCheckError
 from .table import (
     ElementSet,
     RingTable,
+    _first_triple,
+    _row_blocks,
     additive_type,
     ideal_generated,
     idempotents,
@@ -24,8 +26,6 @@ from .table import (
     right_annihilator,
     units,
 )
-
-_BLOCK_ENTRIES = 1 << 24
 
 # is_ps_i builds |R| quotient rings; above this order it reports None (skipped)
 PS_I_DEFAULT_CAP = 64
@@ -42,18 +42,33 @@ def _additive_closure(R: RingTable, mask: np.ndarray) -> np.ndarray:
         mask = new
 
 
-def nilpotent_set(R: RingTable) -> ElementSet:
-    """All x with x^k = 0 for some k (k never exceeds the ring order)."""
+def _nilpotency_index(R: RingTable) -> np.ndarray:
+    """Per element: least k with x^k = 0, or 0 when x is not nilpotent.
+
+    The index of a nilpotent element never exceeds the ring order.
+    """
 
     def build():
         n = R.order
         base = np.arange(n, dtype=np.int16)
         cur = base.copy()
-        for _ in range(n):
+        out = np.zeros(n, dtype=np.int64)
+        for k in range(1, n + 1):
+            hit = (cur == R.zero) & (out == 0)
+            out[hit] = k
             cur = R.mul[cur, base]
-        return ElementSet.from_iterable(R, np.flatnonzero(cur == R.zero))
+        out.setflags(write=False)
+        return out
 
-    return R.cached("nilpotent_set", build)
+    return R.cached("nilpotency_index", build)
+
+
+def nilpotent_set(R: RingTable) -> ElementSet:
+    """All x with x^k = 0 for some k."""
+    return R.cached(
+        "nilpotent_set",
+        lambda: ElementSet.from_iterable(R, np.flatnonzero(_nilpotency_index(R) > 0)),
+    )
 
 
 def jacobson_radical(R: RingTable) -> ElementSet:
@@ -134,17 +149,10 @@ def reduced_witness(R: RingTable):
 
 def symmetric_witness(R: RingTable):
     """(a, b, c) with abc = 0 but bac != 0."""
-    n, mul, z = R.order, R.mul, R.zero
-    block = max(1, _BLOCK_ENTRIES // (n * n))
-    for a0 in range(0, n, block):
-        a1 = min(n, a0 + block)
-        abc = mul[mul[a0:a1], :]
-        bac = mul[mul.T[a0:a1], :]
-        viol = (abc == z) & (bac != z)
-        if viol.any():
-            a, b, c = np.argwhere(viol)[0]
-            return (int(a) + a0, int(b), int(c))
-    return None
+    mul, z = R.mul, R.zero
+    return _first_triple(
+        R.order, lambda a0, a1: (mul[mul[a0:a1], :] == z) & (mul[mul.T[a0:a1], :] != z)
+    )
 
 
 def reversible_witness(R: RingTable):
@@ -161,9 +169,8 @@ def semicommutative_witness(R: RingTable):
     """(a, r, b) with ab = 0 but arb != 0."""
     mul, z = R.mul, R.zero
     pairs = np.argwhere(mul == z)
-    block = max(1, _BLOCK_ENTRIES // max(1, R.order))
-    for p0 in range(0, len(pairs), block):
-        chunk = pairs[p0 : p0 + block]
+    for p0, p1 in _row_blocks(len(pairs), R.order):
+        chunk = pairs[p0:p1]
         ar = mul[chunk[:, 0], :]  # (m, n)
         arb = mul[ar, chunk[:, 1][:, None]]
         viol = arb != z
@@ -177,9 +184,7 @@ def _zero_row_products(R: RingTable) -> np.ndarray:
     """Q[a, b] true iff a*r*b = 0 for every r."""
     n, mul, z = R.order, R.mul, R.zero
     Q = np.empty((n, n), dtype=bool)
-    block = max(1, _BLOCK_ENTRIES // (n * n))
-    for a0 in range(0, n, block):
-        a1 = min(n, a0 + block)
+    for a0, a1 in _row_blocks(n, n * n):
         arb = mul[mul[a0:a1], :]  # [a, r, b]
         Q[a0:a1] = (arb == z).all(axis=1)
     return Q
@@ -197,9 +202,9 @@ def reflexive_witness(R: RingTable):
     return (int(a), int(b), r)
 
 
-def right_duo_witness(R: RingTable):
-    """(a, b) with b*a outside aR."""
-    n, mul = R.order, R.mul
+def _duo_witness(mul: np.ndarray):
+    """(a, b) with mul[b, a] outside {mul[a, s]}: right duo of the table mul."""
+    n = len(mul)
     rows = np.arange(n)[:, None]
     in_aR = np.zeros((n, n), dtype=bool)
     in_aR[rows, mul] = True
@@ -210,17 +215,14 @@ def right_duo_witness(R: RingTable):
     return (int(a), int(b))
 
 
+def right_duo_witness(R: RingTable):
+    """(a, b) with b*a outside aR."""
+    return _duo_witness(R.mul)
+
+
 def left_duo_witness(R: RingTable):
-    """(a, b) with a*b outside Ra."""
-    n, mul = R.order, R.mul
-    rows = np.arange(n)[:, None]
-    in_Ra = np.zeros((n, n), dtype=bool)
-    in_Ra[rows, mul.T] = True
-    ok = in_Ra[rows, mul]  # [a, b]: is a*b in Ra
-    if ok.all():
-        return None
-    a, b = np.argwhere(~ok)[0]
-    return (int(a), int(b))
+    """(a, b) with a*b outside Ra: right duo of the opposite ring."""
+    return _duo_witness(R.mul.T)
 
 
 def abelian_witness(R: RingTable):

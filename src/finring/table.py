@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .abelian import _factorize
 from .errors import (
     AxiomViolationError,
     InternalCheckError,
@@ -141,8 +142,7 @@ class RingTable:
         """Boolean mask of two-sided units."""
 
         def build():
-            two_sided = (self.mul == self.one) & (self.mul.T == self.one)
-            m = two_sided.any(axis=1)
+            m = self.inverse >= 0
             m.setflags(write=False)
             return m
 
@@ -260,22 +260,23 @@ class AxiomReport:
         return [law for law, _ in self.violations]
 
 
-def _first_bad_triple(lhs: np.ndarray, rhs: np.ndarray, offset: int):
-    bad = np.argwhere(lhs != rhs)
-    if len(bad) == 0:
-        return None
-    a, b, c = bad[0]
-    return (int(a) + offset, int(b), int(c))
+def _row_blocks(n: int, per_row: int):
+    """Row ranges [a0, a1) covering range(n), each within _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // max(1, per_row))
+    for a0 in range(0, n, step):
+        yield a0, min(n, a0 + step)
 
 
-def _scan_triples(n: int, make_lhs, make_rhs):
-    """Chunked comparison of two (n,n,n) arrays given by block builders."""
-    block = max(1, _BLOCK_ENTRIES // (n * n))
-    for a0 in range(0, n, block):
-        a1 = min(n, a0 + block)
-        w = _first_bad_triple(make_lhs(a0, a1), make_rhs(a0, a1), a0)
-        if w is not None:
-            return w
+def _first_triple(n: int, violations):
+    """First (a, b, c) flagged by a chunked (n, n, n) scan, or None.
+
+    violations(a0, a1) returns the boolean block for a in [a0, a1).
+    """
+    for a0, a1 in _row_blocks(n, n * n):
+        bad = np.argwhere(violations(a0, a1))
+        if len(bad):
+            a, b, c = bad[0]
+            return (int(a) + a0, int(b), int(c))
     return None
 
 
@@ -315,24 +316,22 @@ def verify_axioms(R: RingTable) -> AxiomReport:
         report("zero_annihilation", (int(x),))
 
     # three-variable laws, chunked over the first index
-    w = _scan_triples(n, lambda a0, a1: add[add[a0:a1], :], lambda a0, a1: add[a0:a1][:, add])
+    w = _first_triple(n, lambda a0, a1: add[add[a0:a1], :] != add[a0:a1][:, add])
     if w is not None:
         report("add_associative", w)
-    w = _scan_triples(n, lambda a0, a1: mul[mul[a0:a1], :], lambda a0, a1: mul[a0:a1][:, mul])
+    w = _first_triple(n, lambda a0, a1: mul[mul[a0:a1], :] != mul[a0:a1][:, mul])
     if w is not None:
         report("mul_associative", w)
-    w = _scan_triples(
+    w = _first_triple(
         n,
-        lambda a0, a1: mul[a0:a1][:, add],
-        lambda a0, a1: add[mul[a0:a1, :, None], mul[a0:a1, None, :]],
+        lambda a0, a1: mul[a0:a1][:, add] != add[mul[a0:a1, :, None], mul[a0:a1, None, :]],
     )
     if w is not None:
         report("left_distributive", w)
     # rhs[a,b,c] = add[mul[a,c], mul[b,c]]
-    w = _scan_triples(
+    w = _first_triple(
         n,
-        lambda a0, a1: mul[add[a0:a1], :],
-        lambda a0, a1: add[mul[a0:a1, None, :], mul[None, :, :]],
+        lambda a0, a1: mul[add[a0:a1], :] != add[mul[a0:a1, None, :], mul[None, :, :]],
     )
     if w is not None:
         report("right_distributive", w)
@@ -440,46 +439,40 @@ def right_annihilator(R: RingTable, a: int) -> ElementSet:
     return out
 
 
+def _cosets(R: RingTable, ideal: ElementSet) -> tuple:
+    """(reps, proj): each coset's least element, ascending, and element -> coset index."""
+    rep = R.add[:, ideal.indices()].min(axis=1).astype(np.int64)
+    reps = np.unique(rep)
+    pos = np.full(R.order, -1, dtype=np.int64)
+    pos[reps] = np.arange(len(reps))
+    return reps, pos[rep]
+
+
 def quotient(R: RingTable, ideal: ElementSet) -> RingTable:
     """Quotient ring R/I with cosets named by their least element."""
     if ideal.ring is not R:
         raise NotAnIdealError("ideal belongs to a different ring instance")
     if not ideal.is_ideal():
         raise NotAnIdealError("quotient requires a two-sided ideal")
-    idx = ideal.indices()
-    rep = R.add[:, idx].min(axis=1).astype(np.int64)
-    reps = np.unique(rep)
-    pos = np.full(R.order, -1, dtype=np.int64)
-    pos[reps] = np.arange(len(reps))
-    q_add = pos[rep[R.add[np.ix_(reps, reps)]]]
-    q_mul = pos[rep[R.mul[np.ix_(reps, reps)]]]
-    labels = [R.labels[r] for r in reps]
+    reps, proj = _cosets(R, ideal)
     Q = RingTable(
         len(reps),
-        labels,
-        q_add,
-        q_mul,
-        int(pos[rep[R.zero]]),
-        int(pos[rep[R.one]]),
+        [R.labels[r] for r in reps],
+        proj[R.add[np.ix_(reps, reps)]],
+        proj[R.mul[np.ix_(reps, reps)]],
+        int(proj[R.zero]),
+        int(proj[R.one]),
         provenance=f"quotient({R.provenance or 'ring'}, |I|={len(ideal)})",
     )
     rep_check = verify_axioms(Q)
     if not rep_check.passed:
         raise InternalCheckError(f"quotient table fails {rep_check.violations[0][0]}")
-    Q._cache["projection"] = pos[rep]  # element -> coset index, used by peirce
     return Q
 
 
-def projection_map(R: RingTable, Q: RingTable, ideal: ElementSet) -> np.ndarray:
-    """Element map of the canonical surjection R -> R/I used by quotient()."""
-    if "projection" in Q._cache:
-        return Q._cache["projection"]
-    idx = ideal.indices()
-    rep = R.add[:, idx].min(axis=1).astype(np.int64)
-    reps = np.unique(rep)
-    pos = np.full(R.order, -1, dtype=np.int64)
-    pos[reps] = np.arange(len(reps))
-    return pos[rep]
+def projection_map(R: RingTable, ideal: ElementSet) -> np.ndarray:
+    """Element map of the canonical surjection R -> R/I onto quotient()'s indices."""
+    return _cosets(R, ideal)[1]
 
 
 # -- additive structure -------------------------------------------------------
@@ -492,25 +485,19 @@ def additive_type(R: RingTable) -> tuple:
     elements killed by p^k determines the partition of the p-part.
     """
     orders = np.asarray(R.additive_order)
-    n = R.order
     out = []
-    m = n
-    p = 2
-    primes = []
-    while m > 1:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    for p in primes:
-        # conjugate partition from counts of elements of order dividing p^k
+    for p in _factorize(R.order):
+        # conjugate partition from counts of elements of order dividing p^k;
+        # each count is p^a for the a below
         prev = 0
         conj = []
         k = 1
         while True:
             c = int(np.count_nonzero((p**k) % orders == 0))
-            a = round(np.log(c) / np.log(p))
+            a = 0
+            while c % p == 0:
+                c //= p
+                a += 1
             if a == prev:
                 break
             conj.append(a - prev)

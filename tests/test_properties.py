@@ -1,8 +1,11 @@
 """Property predicates cross-checked against plain-Python exhaustive scans."""
 
+import numpy as np
 import pytest
 
 from finring.construct import cyclic, galois, matrix_ring, upper_triangular
+from finring.corpus import corpus
+from finring.enumeration import enumerate_unital
 from finring.presentation import build_from_text
 from finring.properties import (
     PS_I_DEFAULT_CAP,
@@ -10,12 +13,14 @@ from finring.properties import (
     is_duo,
     is_ps_i,
     jacobson_radical,
+    left_duo_witness,
     lower_nilradical,
     nilpotent_set,
     profile,
+    right_duo_witness,
     upper_nilradical,
 )
-from finring.table import direct_sum
+from finring.table import direct_sum, opposite, projection_map, quotient
 
 
 # -- brute-force reference scans ----------------------------------------------
@@ -215,11 +220,37 @@ def test_is_duo_is_the_conjunction():
 def test_lattice_holds_across_all_small_unital_rings():
     # profile() itself raises InternalCheckError on any lattice violation,
     # so sweeping every ring of these orders is the assertion
-    from finring.enumeration import enumerate_unital
-
     count = 0
     for order in (4, 8, 9):
         for R in enumerate_unital(order):
             profile(R)
             count += 1
     assert count == 4 + 11 + 4
+
+
+# -- shared scans over the small catalog and every small unital ring ----------
+
+
+@pytest.fixture(scope="module")
+def small_rings():
+    rings = [(e.name, e.build()) for e in corpus() if e.order <= 64]
+    for order in (4, 8, 9):
+        rings += [(f"order{order}[{i}]", R) for i, R in enumerate(enumerate_unital(order))]
+    return rings
+
+
+def test_left_duo_is_right_duo_of_the_opposite(small_rings):
+    for name, R in small_rings:
+        assert left_duo_witness(R) == right_duo_witness(opposite(R)), name
+
+
+def test_projection_onto_radical_quotient_is_a_homomorphism(small_rings):
+    for name, R in small_rings:
+        J = jacobson_radical(R)
+        Q = quotient(R, J)
+        p = projection_map(R, J)
+        assert sorted(set(p.tolist())) == list(range(Q.order)), name
+        assert (p[R.zero], p[R.one]) == (Q.zero, Q.one), name
+        grid = np.ix_(p, p)
+        assert np.array_equal(Q.add[grid], p[R.add]), name
+        assert np.array_equal(Q.mul[grid], p[R.mul]), name

@@ -25,6 +25,7 @@ from finring import (
     upper_triangular,
     verify_axioms,
 )
+from finring.abelian import abelian_groups_of_order
 
 
 def test_cyclic_passes_axioms():
@@ -129,6 +130,16 @@ def test_additive_type_profiles():
     assert additive_type(cyclic(8)) == (8,)
     assert additive_type(galois(2, 3)) == (2, 2, 2)
     assert additive_type(direct_sum(cyclic(4), cyclic(2))) == (2, 4)
+
+
+def test_additive_type_of_every_abelian_group_up_to_order_64():
+    # Z_d1 + ... + Z_dk as a ring has additive group Z_d1 x ... x Z_dk
+    for n in range(2, 65):
+        for factors in abelian_groups_of_order(n):
+            R = cyclic(factors[0])
+            for d in factors[1:]:
+                R = direct_sum(R, cyclic(d))
+            assert additive_type(R) == tuple(sorted(factors)), factors
 
 
 def test_characteristic():
