@@ -1,6 +1,6 @@
 """Constructors for concrete small rings.
 
-Everything returns a RingTable whose laws have been verified exhaustively.
+Everything returns a RingTable that has passed verify_axioms.
 Provenance strings double as build recipes; where the ring-expression
 grammar can express a construction, the provenance is that expression.
 """

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalCheckError
-from .properties import _nilpotency_index, jacobson_radical
+from .properties import _closure, _nilpotency_index, jacobson_radical
 from .table import RingTable, additive_type
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -83,22 +83,29 @@ def _class_ids(R: RingTable) -> dict:
 def _spanning_trace(R: RingTable):
     """Greedy unital generating set plus the op log that rebuilds the ring.
 
-    Returns (gens, segments) where segments[k] is the list of ops unlocked by
-    generator k (segment 0 needs no generators).  Each op is (kind, i, j) with
-    kind 0=add 1=mul over trace positions; every op yields a NEW element, so a
-    replay of all segments enumerates the whole ring.
+    Returns (gens, segments, trace) where segments[k] is the list of ops
+    unlocked by generator k (segment 0 needs no generators) and trace lists
+    the elements in the order the ops discover them.  Each op is
+    (kind, i, j) with kind 0=add 1=mul over trace positions; every op yields
+    a NEW element, so a replay of all segments enumerates the whole ring.
+
+    Each invariant class offers its least element outside the trace; the
+    next generator is the offer that, with the trace, generates the largest
+    subring, ties going to the smaller class, then the lower index.  The
+    search tries every class member as a generator's image, so the product
+    of the generators' class sizes bounds its leaves.
     """
     classes = _class_ids(R)
-    class_size = {x: len(v) for v in classes.values() for x in v}
 
     trace = [R.zero, R.one] if R.one != R.zero else [R.zero]
     pos = set(trace)
     gens = []
     segments = []
 
-    def close(seg):
+    def close(seg, start):
+        # pairs of elements before start are already closed
         tables = (R.add, R.mul)
-        k = 0
+        k = start
         while k < len(trace):
             x = trace[k]
             for j in range(k + 1):
@@ -113,19 +120,26 @@ def _spanning_trace(R: RingTable):
                             trace.append(v)
             k += 1
 
+    def rank(members, inside):
+        x = next(x for x in members if not inside[x])
+        grown = inside.copy()
+        grown[x] = True
+        return -int(_closure(grown, R.add, R.mul).sum()), len(members), x
+
     seg0 = []
-    close(seg0)
+    close(seg0, 0)
     segments.append(seg0)
     while len(trace) < R.order:
-        rest = [x for x in range(R.order) if x not in pos]
-        g = min(rest, key=lambda x: (class_size[x], x))
+        inside = np.zeros(R.order, dtype=bool)
+        inside[trace] = True
+        g = min(rank(m, inside) for m in classes.values() if not inside[m].all())[2]
         gens.append(g)
         pos.add(g)
         trace.append(g)
         seg = []
-        close(seg)
+        close(seg, len(trace) - 1)
         segments.append(seg)
-    return gens, segments
+    return gens, segments, trace
 
 
 @dataclass
@@ -156,7 +170,7 @@ def is_isomorphic(R: RingTable, S: RingTable, node_budget: int = DEFAULT_NODE_BU
         if va != vb:
             return IsoResult(False, None, f"fingerprint:{ka}")
 
-    gens, segments = _spanning_trace(R)
+    gens, segments, trace_elems = R.cached("spanning_trace", lambda: _spanning_trace(R))
     inv_R = element_invariants(R)
     classes_S = _class_ids(S)
     cand = [classes_S[tuple(int(v) for v in inv_R[g])] for g in gens]
@@ -164,7 +178,6 @@ def is_isomorphic(R: RingTable, S: RingTable, node_budget: int = DEFAULT_NODE_BU
     tables = (S.add, S.mul)
     n = R.order
     budget = [node_budget]
-    trace_elems = _trace_order(R, gens, segments)
 
     prefix = [S.zero, S.one] if R.one != R.zero else [S.zero]
 
@@ -199,6 +212,16 @@ def is_isomorphic(R: RingTable, S: RingTable, node_budget: int = DEFAULT_NODE_BU
             return None
         return mapping
 
+    phi0 = list(prefix)
+    used0 = set(phi0)
+    if len(used0) != len(phi0):
+        return IsoResult(False, None, "search")
+    st = replay(phi0, used0, segments[0])
+    if st == -1:
+        return IsoResult(None, None, "budget")
+    if st == 0:
+        return IsoResult(False, None, "search")
+
     def dfs(depth, phi, used):
         if depth == len(gens):
             return full_check(phi)
@@ -219,29 +242,13 @@ def is_isomorphic(R: RingTable, S: RingTable, node_budget: int = DEFAULT_NODE_BU
             used.discard(phi.pop())
         return None
 
-    phi0 = list(prefix)
-    used0 = set(phi0)
-    if len(used0) != len(phi0):
-        return IsoResult(False, None, "search")
-    st = replay(phi0, used0, segments[0])
-    if st != 1:
-        return IsoResult(False, None, "search")
     out = dfs(0, phi0, used0) if gens else full_check(phi0)
+    # dfs refers to itself through its closure; breaking that cycle frees S's
+    # tables now rather than at the next full garbage collection
+    del dfs
     if isinstance(out, str):
         return IsoResult(None, None, "budget")
     if out is None:
         return IsoResult(False, None, "search")
     _verify_iso(R, S, out)
     return IsoResult(True, [int(v) for v in out], "search")
-
-
-def _trace_order(R: RingTable, gens, segments):
-    """Element discovery order matching _spanning_trace's positions."""
-    trace = [R.zero, R.one] if R.one != R.zero else [R.zero]
-    tables = (R.add, R.mul)
-    for depth, seg in enumerate(segments):
-        if depth > 0:
-            trace.append(gens[depth - 1])
-        for kind, i, j in seg:
-            trace.append(int(tables[kind][trace[i], trace[j]]))
-    return trace

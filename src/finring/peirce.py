@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .properties import (
-    _additive_closure,
+    _closure,
     is_abelian,
     is_local,
     is_ni,
@@ -69,7 +69,7 @@ def _sum_of(R: RingTable, parts) -> np.ndarray:
     mask[R.zero] = True
     for part in parts:
         mask[list(part)] = True
-    return np.flatnonzero(_additive_closure(R, mask))
+    return np.flatnonzero(_closure(mask, R.add))
 
 
 @dataclass

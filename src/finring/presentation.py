@@ -410,7 +410,7 @@ def build_ring(P: Presentation, min_degree: Optional[int] = None) -> RingTable:
 
     Searches (working degree E, basis degree D) pairs: the span is computed
     at degree E, the candidate basis harvested at D.  A candidate is accepted
-    only after the emitted table passes exhaustive axiom checks and every
+    only after the emitted table passes verify_axioms and every
     relation evaluates to zero through the table's own arithmetic; that pair
     of facts forces the table to be the universal quotient (it is a quotient
     of the presented algebra and vice versa), so acceptance is sound no

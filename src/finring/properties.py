@@ -31,12 +31,14 @@ from .table import (
 PS_I_DEFAULT_CAP = 64
 
 
-def _additive_closure(R: RingTable, mask: np.ndarray) -> np.ndarray:
+def _closure(mask: np.ndarray, *tables) -> np.ndarray:
+    """Least superset of mask closed under each binary operation table."""
     mask = mask.copy()
     while True:
         cur = np.flatnonzero(mask)
         new = mask.copy()
-        new[R.add[np.ix_(cur, cur)].ravel()] = True
+        for t in tables:
+            new[t[np.ix_(cur, cur)].ravel()] = True
         if (new == mask).all():
             return mask
         mask = new
@@ -63,9 +65,16 @@ def _nilpotency_index(R: RingTable) -> np.ndarray:
     return R.cached("nilpotency_index", build)
 
 
+def _cached_set(R: RingTable, key: str, build) -> ElementSet:
+    # R caches only the members: an ElementSet refers back to R, so caching it
+    # would keep R alive, after its last use, until a full garbage collection
+    return ElementSet(R, R.cached(key, lambda: build().members))
+
+
 def nilpotent_set(R: RingTable) -> ElementSet:
     """All x with x^k = 0 for some k."""
-    return R.cached(
+    return _cached_set(
+        R,
         "nilpotent_set",
         lambda: ElementSet.from_iterable(R, np.flatnonzero(_nilpotency_index(R) > 0)),
     )
@@ -85,7 +94,7 @@ def jacobson_radical(R: RingTable) -> ElementSet:
             raise InternalCheckError("jacobson radical is not a two-sided ideal")
         return out
 
-    return R.cached("jacobson_radical", build)
+    return _cached_set(R, "jacobson_radical", build)
 
 
 def upper_nilradical(R: RingTable) -> ElementSet:
@@ -102,13 +111,13 @@ def upper_nilradical(R: RingTable) -> ElementSet:
             if not nil[I.indices()].all():
                 continue
             acc |= I.mask
-            acc = _additive_closure(R, acc)
+            acc = _closure(acc, R.add)
         out = ElementSet.from_iterable(R, np.flatnonzero(acc))
         if not nil[out.indices()].all() or not out.is_ideal():
             raise InternalCheckError("upper nilradical accumulation broke ideal/nil state")
         return out
 
-    return R.cached("upper_nilradical", build)
+    return _cached_set(R, "upper_nilradical", build)
 
 
 def lower_nilradical(R: RingTable) -> ElementSet:
@@ -128,7 +137,7 @@ def lower_nilradical(R: RingTable) -> ElementSet:
             mask = new
         return ElementSet.from_iterable(R, np.flatnonzero(mask))
 
-    return R.cached("lower_nilradical", build)
+    return _cached_set(R, "lower_nilradical", build)
 
 
 # -- witness scans ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Isomorphism testing: invariant screens, backtracking search, verified maps."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,15 @@ from finring.construct import (
     galois,
     upper_triangular,
 )
+from finring.corpus import corpus
 from finring.iso import element_invariants, fingerprint, is_isomorphic
 from finring.presentation import build_from_text
+from finring.properties import (
+    jacobson_radical,
+    lower_nilradical,
+    nilpotent_set,
+    upper_nilradical,
+)
 from finring.table import RingTable, opposite
 
 
@@ -115,3 +124,46 @@ def test_tiny_budget_returns_inconclusive():
     assert r.isomorphic is None
     assert r.reason == "budget"
     assert bool(r) is False  # inconclusive is falsy
+
+
+def test_budget_spent_before_the_first_generator_is_inconclusive():
+    # M2(F2) + Z4 has characteristic 4, so replaying the multiples of 1
+    # spends the one-node budget before any generator image is tried
+    R = {e.name: e for e in corpus()}["M2F2_Z4"].build()
+    r = is_isomorphic(R, R, node_budget=1)
+    assert (r.isomorphic, r.mapping, r.reason) == (None, None, "budget")
+
+
+@pytest.mark.parametrize("name", ["F2Q8", "Rev256"])
+def test_relabelings_of_order_256_rings_are_decided_within_100k_nodes(name):
+    R = {e.name: e for e in corpus()}[name].build()
+    for seed in range(10):
+        S = relabel(R, seed)
+        r = is_isomorphic(S, R, node_budget=100_000)
+        assert r.isomorphic is True, (seed, r.reason)
+        assert_valid_mapping(S, R, r.mapping)
+
+
+# -- memory -------------------------------------------------------------------
+
+
+def test_checked_rings_are_freed_without_the_cycle_collector():
+    # enumeration checks thousands of tables and keeps few; one held in a
+    # reference cycle stays in memory until a full garbage collection
+    gc.collect()
+    gc.disable()
+    try:
+        R = build_from_text("F2<u,v>/(u^3,v^2,u^2+uv+vu,uvu)")
+        for S in (relabel(R, 3), opposite(R)):
+            is_isomorphic(R, S)
+        for radical in (jacobson_radical, nilpotent_set, lower_nilradical, upper_nilradical):
+            radical(R)
+        del R, S
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        held = [o for o in gc.garbage if isinstance(o, RingTable)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert held == []
