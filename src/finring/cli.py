@@ -10,9 +10,9 @@
     finring import f2q8.ringtab
 
 `verify` exits 0 only when every corpus expectation and invariant suite
-passes.  `--deep` applies to props, import, enumerate and verify; `--seed`
-to enumerate and verify, where it shuffles the search order and never
-changes the output.
+passes.  `--deep` and `--seed` apply to enumerate and verify: `--deep` opts
+into the order-16 enumeration, and `--seed` shuffles the search order and
+never changes the output.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .errors import FinringError
 from .expr import parse_ring_expr
 from .iso import is_isomorphic
 from .peirce import decomposition_report
-from .properties import PS_I_DEFAULT_CAP, profile
+from .properties import profile
 from .ringio import export_ring, import_ring
-from .table import MAX_ORDER, RingTable
+from .table import RingTable
 
 
 def _load(text: str) -> RingTable:
@@ -57,8 +57,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_props(args) -> int:
     R = _load(args.expr)
-    cap = MAX_ORDER if args.deep else PS_I_DEFAULT_CAP
-    prof = profile(R, ps_i_cap=cap)
+    prof = profile(R)
     print("\n".join(prof.as_kv()) if args.kv else prof.as_text())
     return 0
 
@@ -90,8 +89,7 @@ def _cmd_enumerate(args) -> int:
     rings = enumerate_unital(args.order, deep=args.deep, seed=args.seed)
     print(f"order {args.order}: {len(rings)} isomorphism classes")
     if args.census:
-        cap = MAX_ORDER if args.deep else 0
-        print(taxonomy_census(rings, ps_i_cap=cap).as_text())
+        print(taxonomy_census(rings).as_text())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for i, R in enumerate(rings):
@@ -121,7 +119,7 @@ def _cmd_export(args) -> int:
 def _cmd_import(args) -> int:
     R = import_ring(args.path)
     print(_summary(R))
-    print(profile(R, ps_i_cap=PS_I_DEFAULT_CAP if not args.deep else MAX_ORDER).as_text())
+    print(profile(R).as_text())
     return 0
 
 
@@ -132,8 +130,7 @@ def main(argv=None) -> int:
 
     def deep(p):
         p.add_argument("--deep", action="store_true",
-                       help="opt into expensive checks (order-16 enumeration, "
-                            "nilpotent-quotient scans on large rings)")
+                       help="opt into the long order-16 enumeration")
 
     def seed(p):
         p.add_argument("--seed", type=int, default=None,
@@ -148,7 +145,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("props", help="full property profile")
     p.add_argument("expr")
     p.add_argument("--kv", action="store_true", help="machine-readable key=value lines")
-    deep(p)
     p.set_defaults(fn=_cmd_props)
 
     p = sub.add_parser("decompose", help="idempotent splitting and component report")
@@ -183,7 +179,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("import", help="read and re-verify a RINGTAB file")
     p.add_argument("path")
-    deep(p)
     p.set_defaults(fn=_cmd_import)
 
     args = top.parse_args(argv)

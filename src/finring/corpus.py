@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class CorpusEntry:
     order: int
     expects: dict
     note: str = ""
-    builder: Optional[Callable[[], RingTable]] = None
-    basis_span: Optional[tuple] = None  # words that must additively span the ring
+    builder: Callable[[], RingTable] | None = None
+    basis_span: tuple | None = None  # words that must additively span the ring
 
     def build(self) -> RingTable:
         if self.builder is not None:
@@ -271,7 +271,7 @@ class VerificationReport:
         return "\n".join(out)
 
 
-def _check_entry(entry: CorpusEntry, ps_i_cap: int) -> tuple:
+def _check_entry(entry: CorpusEntry) -> tuple:
     t0 = time.time()
     res = EntryResult(entry.name, entry.order)
     try:
@@ -283,7 +283,7 @@ def _check_entry(entry: CorpusEntry, ps_i_cap: int) -> tuple:
     res.order_actual = R.order
     if R.order != entry.order:
         res.failures.append(f"order: expected {entry.order}, built {R.order}")
-    prof = profile(R, ps_i_cap=ps_i_cap)
+    prof = profile(R)
     for key, want in sorted(entry.expects.items()):
         got = getattr(prof, key)
         res.checked.append(f"{key}={str(got).lower()} expected={str(want).lower()}")
@@ -348,8 +348,7 @@ _IMPLICATIONS = (
     ("duo implies semicommutative",
      lambda p: (not (p.right_duo and p.left_duo)) or p.semicommutative),
     ("symmetric implies reversible", lambda p: (not p.symmetric) or p.reversible),
-    ("ps_i iff ni when evaluated",
-     lambda p: p.ps_i is None or p.ps_i == p.ni),
+    ("ps_i iff ni", lambda p: p.ps_i == p.ni),
 )
 
 
@@ -426,7 +425,7 @@ def _suite_enumeration(deep: bool, seed=None) -> SuiteResult:
             s.violations.append(f"order {order}: {len(rings)} classes, expected {want}")
         if order == 8:
             rings8 = rings  # the same classes and tables for every seed
-    noncomm = [R for R in rings8 if profile(R, ps_i_cap=0).commutative is False]
+    noncomm = [R for R in rings8 if not profile(R).commutative]
     s.checked += 1
     if len(noncomm) != 1:
         s.violations.append(f"order 8: {len(noncomm)} noncommutative classes, expected 1")
@@ -440,7 +439,7 @@ def _suite_enumeration(deep: bool, seed=None) -> SuiteResult:
                                 "triangular matrix ring")
     if deep:
         rings16 = enumerate_unital(16, deep=True, seed=seed)
-        profs = [profile(R, ps_i_cap=0) for R in rings16]
+        profs = [profile(R) for R in rings16]
         noncomm16 = sum(1 for p in profs if not p.commutative)
         nonni = [R for R, p in zip(rings16, profs) if not p.ni]
         for label, got, want in (
@@ -459,13 +458,13 @@ def _suite_enumeration(deep: bool, seed=None) -> SuiteResult:
     return s
 
 
-def verify_corpus(deep: bool = False, ps_i_cap: int = 64, seed=None) -> VerificationReport:
+def verify_corpus(deep: bool = False, seed=None) -> VerificationReport:
     """Build and check every entry, then run the cross-cutting suites."""
     t0 = time.time()
     results = []
     built = []
     for entry in corpus():
-        res, payload = _check_entry(entry, ps_i_cap)
+        res, payload = _check_entry(entry)
         results.append(res)
         if payload is not None:
             built.append((entry.name, payload[0], payload[1]))

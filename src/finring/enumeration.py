@@ -259,9 +259,9 @@ class Census:
         return "\n".join(lines)
 
 
-def taxonomy_census(rings, ps_i_cap: int = 0) -> Census:
-    """Profile every ring and aggregate; ps_i skipped by default for speed."""
+def taxonomy_census(rings) -> Census:
+    """Profile every ring and aggregate."""
     if not rings:
         return Census(0, ())
-    rows = tuple((profile(R, ps_i_cap=ps_i_cap), R) for R in rings)
+    rows = tuple((profile(R), R) for R in rings)
     return Census(rings[0].order, rows)

@@ -545,7 +545,8 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
             out += X[..., i] * strides[i]
         return out
 
-    mul = encode(sreduce(np.einsum("xa,yb,abw->xyw", V, V, T)))
+    # optimize=True contracts V with T first: O(n^2 s^2), not one O(n^2 s^3) pass
+    mul = encode(sreduce(np.einsum("xa,yb,abw->xyw", V, V, T, optimize=True)))
     add = encode(sreduce(V[:, None, :] + V[None, :, :]))
 
     one_vec = reduce_word(())

@@ -9,7 +9,6 @@ the ring instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -23,12 +22,8 @@ from .table import (
     ideal_generated,
     idempotents,
     quotient,
-    right_annihilator,
     units,
 )
-
-# is_ps_i builds |R| quotient rings; above this order it reports None (skipped)
-PS_I_DEFAULT_CAP = 64
 
 
 def _closure(mask: np.ndarray, *tables) -> np.ndarray:
@@ -190,18 +185,23 @@ def semicommutative_witness(R: RingTable):
 
 
 def _zero_row_products(R: RingTable) -> np.ndarray:
-    """Q[a, b] true iff a*r*b = 0 for every r."""
-    n, mul, z = R.order, R.mul, R.zero
-    Q = np.empty((n, n), dtype=bool)
-    for a0, a1 in _row_blocks(n, n * n):
-        arb = mul[mul[a0:a1], :]  # [a, r, b]
-        Q[a0:a1] = (arb == z).all(axis=1)
-    return Q
+    """Q[a, b] true iff a*r*b = 0 for every r: row a is r-ann(aR)."""
+
+    def build():
+        n, mul, z = R.order, R.mul, R.zero
+        Q = np.empty((n, n), dtype=bool)
+        for a0, a1 in _row_blocks(n, n * n):
+            arb = mul[mul[a0:a1], :]  # [a, r, b]
+            Q[a0:a1] = (arb == z).all(axis=1)
+        Q.setflags(write=False)
+        return Q
+
+    return R.cached("zero_row_products", build)
 
 
 def reflexive_witness(R: RingTable):
     """(a, b, r) with aRb = 0 but b*r*a != 0."""
-    Q = R.cached("zero_row_products", lambda: _zero_row_products(R))
+    Q = _zero_row_products(R)
     viol = Q & ~Q.T
     if not viol.any():
         return None
@@ -334,17 +334,16 @@ def is_local(R):
     return local_witness(R) is None
 
 
-def is_ps_i(R: RingTable, cap: int = PS_I_DEFAULT_CAP) -> Optional[bool]:
+def is_ps_i(R: RingTable) -> bool:
     """For every a, R / r-ann(aR) must be 2-primal.
 
-    Builds |R| quotients, so orders above `cap` return None (skipped) rather
-    than silently passing; raise the cap to force evaluation.
+    r-ann(aR) is row a of _zero_row_products, so one quotient is built per
+    distinct row.  The row {0} (a = 1 has it, as r-ann(R) = 0) stands for R
+    itself, which is not rebuilt.
     """
-    if R.order > cap:
-        return None
-    for a in range(R.order):
-        Q = quotient(R, right_annihilator(R, a))
-        if not is_two_primal(Q):
+    for row in np.unique(_zero_row_products(R), axis=0):
+        ideal = ElementSet.from_iterable(R, np.flatnonzero(row))
+        if not is_two_primal(R if len(ideal) == 1 else quotient(R, ideal)):
             return False
     return True
 
@@ -368,7 +367,7 @@ class PropertyProfile:
     abelian: bool
     ni: bool
     two_primal: bool
-    ps_i: Optional[bool]
+    ps_i: bool
     local: bool
     unit_count: int
     idempotent_count: int
@@ -400,8 +399,7 @@ class PropertyProfile:
             f"additive={'x'.join(str(d) for d in self.additive)}",
         ]
         for k in self.BOOL_KEYS:
-            v = getattr(self, k)
-            out.append(f"{k}={'skipped' if v is None else str(bool(v)).lower()}")
+            out.append(f"{k}={str(bool(getattr(self, k))).lower()}")
         out += [
             f"unit_count={self.unit_count}",
             f"idempotent_count={self.idempotent_count}",
@@ -437,11 +435,11 @@ def _check_profile_invariants(p: PropertyProfile) -> None:
         raise InternalCheckError("profile violates right_duo <=> left_duo")
     if p.ni != p.two_primal:
         raise InternalCheckError("profile violates ni <=> two_primal")
-    if p.ps_i is not None and p.ps_i != p.ni:
+    if p.ps_i != p.ni:
         raise InternalCheckError("profile violates ps_i <=> ni")
 
 
-def profile(R: RingTable, ps_i_cap: int = PS_I_DEFAULT_CAP) -> PropertyProfile:
+def profile(R: RingTable) -> PropertyProfile:
     """Evaluate every predicate on R and cross-check the implication lattice."""
     wit = {}
 
@@ -463,7 +461,6 @@ def profile(R: RingTable, ps_i_cap: int = PS_I_DEFAULT_CAP) -> PropertyProfile:
     ni = run("ni", ni_witness)
     two_primal = run("two_primal", two_primal_witness)
     local = run("local", local_witness)
-    ps = is_ps_i(R, cap=ps_i_cap)
 
     p = PropertyProfile(
         order=R.order,
@@ -481,7 +478,7 @@ def profile(R: RingTable, ps_i_cap: int = PS_I_DEFAULT_CAP) -> PropertyProfile:
         abelian=abelian,
         ni=ni,
         two_primal=two_primal,
-        ps_i=ps,
+        ps_i=is_ps_i(R),
         local=local,
         unit_count=len(units(R)),
         idempotent_count=len(idempotents(R)),

@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .errors import RingFormatError
-from .table import RingTable, checked
+from .table import MAX_ORDER, RingTable, checked
 
 
 def dumps_ring(R: RingTable) -> str:
@@ -74,6 +74,8 @@ def loads_ring(text: str, provenance: str = "") -> RingTable:
     if not lines or lines[0].split() != ["RINGTAB", "1"]:
         raise RingFormatError("file does not start with 'RINGTAB 1'", line=1)
     n = _intline(lines, 1, "order")
+    if not 1 <= n <= MAX_ORDER:
+        raise RingFormatError(f"order {n} is outside 1..{MAX_ORDER}", line=2)
     zero = _intline(lines, 2, "zero")
     one = _intline(lines, 3, "one")
     if len(lines) < 5:

@@ -120,10 +120,7 @@ def test_criterion_03_taxonomy_implications(profiles):
         assert p.ni == p.two_primal, name
         assert not p.duo or p.semicommutative, name
         assert not p.symmetric or p.reversible, name
-        if R.order <= 64:
-            assert p.ps_i is not None, name
-        if p.ps_i is not None:
-            assert p.ps_i == p.ni, name
+        assert p.ps_i == p.ni, name
 
 
 def test_criterion_04_enumeration_counts():
@@ -139,8 +136,9 @@ def test_criterion_04_enumeration_counts():
     rings16 = enumerate_unital(16, deep=True)
     noncomm16 = [R for R in rings16 if (R.mul != R.mul.T).any()]
     assert len(noncomm16) == 13
-    from finring.properties import is_ni
+    from finring.properties import is_ni, is_ps_i
 
+    assert all(is_ps_i(R) == is_ni(R) for R in rings16)
     non_ni = [R for R in rings16 if not is_ni(R)]
     assert len(non_ni) == 1
     assert is_isomorphic(non_ni[0], matrix_ring(galois(2), 2)).isomorphic

@@ -68,6 +68,12 @@ def test_non_integer_header():
     reject(lines, 2, "non-integer")
 
 
+@pytest.mark.parametrize("order", [0, 1025])
+def test_out_of_range_order_is_rejected_at_the_header(order):
+    # rejected on the order line, before any label or row is read
+    reject(["RINGTAB 1", f"order {order}", "zero 0", "one 1"], 2, f"order {order} is outside")
+
+
 def test_short_label_line():
     lines = good_lines()
     lines[4] = "a"

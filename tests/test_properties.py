@@ -6,12 +6,14 @@ import pytest
 from finring.construct import cyclic, galois, matrix_ring, upper_triangular
 from finring.corpus import corpus
 from finring.enumeration import enumerate_unital
+from finring.expr import parse_ring_expr
 from finring.presentation import build_from_text
 from finring.properties import (
-    PS_I_DEFAULT_CAP,
     PropertyProfile,
+    _zero_row_products,
     is_duo,
     is_ps_i,
+    is_two_primal,
     jacobson_radical,
     left_duo_witness,
     lower_nilradical,
@@ -20,7 +22,7 @@ from finring.properties import (
     right_duo_witness,
     upper_nilradical,
 )
-from finring.table import direct_sum, opposite, projection_map, quotient
+from finring.table import direct_sum, opposite, projection_map, quotient, right_annihilator
 
 
 # -- brute-force reference scans ----------------------------------------------
@@ -171,19 +173,10 @@ def test_jacobson_of_triangular_ring_is_strict_upper_part():
     assert all(R.mul[x, x] == R.zero for x in j)
 
 
-# -- bounded predicates -------------------------------------------------------
+# -- PS I ---------------------------------------------------------------------
 
 
-def test_ps_i_skipped_above_cap():
-    R = matrix_ring(galois(2), 2)
-    assert is_ps_i(R, cap=8) is None
-    p = profile(R, ps_i_cap=8)
-    assert p.ps_i is None
-    assert "ps_i=skipped" in p.as_kv()
-
-
-def test_ps_i_computed_at_default_cap():
-    assert PS_I_DEFAULT_CAP == 64
+def test_ps_i_of_a_chain_ring_and_a_full_matrix_ring():
     assert is_ps_i(cyclic(4)) is True
     assert is_ps_i(matrix_ring(galois(2), 2)) is False
 
@@ -254,3 +247,36 @@ def test_projection_onto_radical_quotient_is_a_homomorphism(small_rings):
         grid = np.ix_(p, p)
         assert np.array_equal(Q.add[grid], p[R.add]), name
         assert np.array_equal(Q.mul[grid], p[R.mul]), name
+
+
+@pytest.fixture(scope="module")
+def rings_to_128(small_rings):
+    return small_rings + [(e.name, e.build()) for e in corpus() if 64 < e.order <= 128]
+
+
+def test_zero_row_products_rows_are_right_annihilators(rings_to_128):
+    for name, R in rings_to_128:
+        Q = _zero_row_products(R)
+        for a in range(R.order):
+            assert set(np.flatnonzero(Q[a]).tolist()) == right_annihilator(R, a).members, (
+                name, a)
+
+
+def test_ps_i_agrees_with_one_quotient_per_element(rings_to_128):
+    for name, R in rings_to_128:
+        want = all(
+            is_two_primal(quotient(R, right_annihilator(R, a))) for a in range(R.order)
+        )
+        assert is_ps_i(R) is want, name
+
+
+@pytest.mark.parametrize("text", [
+    "GA(GF(2),Q8)",
+    "F2<u,v>/(u^3,v^3,u^2+v^2+vu,vu^2+uvu+vuv,u^2vu)",
+    "F2<u,v>/(u^3,v^3,u^2+v^2+vu,vu^2+uvu+vuv)",
+], ids=["F2Q8", "Rev256", "R512"])
+def test_ps_i_is_evaluated_on_rings_of_order_256_and_512(text):
+    p = profile(parse_ring_expr(text))
+    assert p.order in (256, 512)
+    assert p.ps_i is p.ni
+    assert f"ps_i={str(p.ni).lower()}" in p.as_kv()
