@@ -1,27 +1,38 @@
 """Exhaustive enumeration of unital rings of small order, one table per
 isomorphism class.
 
-Strategy per abelian group: the identity element must have additive order
+Strategy per abelian group G: the identity element must have additive order
 equal to the group exponent, and every such element is equivalent under an
-additive automorphism, so the identity is pinned to the first basis vector.
-The unknowns are the products of the remaining basis generators; torsion
-bounds each product to the subgroup killed by gcd of the generator orders.
-Assignment runs over a staircase schedule (row 0, column 0, row 1, ...) with
-vectorized batch filtering: a generator triple becomes checkable as soon as
-its row and column are fully assigned, and associativity on generator triples
-extends bilinearly to the whole table.
+additive automorphism, so the identity is pinned to the first basis vector
+e_0.  The unknowns are the products of the remaining basis generators;
+torsion bounds each product to the subgroup killed by gcd of the generator
+orders.  Assignment runs over a staircase schedule (row 0, column 0, row 1,
+...) with vectorized batch filtering: a generator triple becomes checkable as
+soon as its row and column are fully assigned, and associativity on generator
+triples extends bilinearly to the whole table.  The assignments that pass are
+the survivors.
+
+Classes: two survivors give isomorphic rings exactly when an automorphism of
+G that fixes e_0 carries one set of basis products onto the other, since a
+ring isomorphism between them is additive and sends 1 to 1.  So the classes
+on G are the orbits of H = Stab_Aut(G)(e_0) on the survivors.  They are found
+from a small generating set of H by propagating the least survivor index
+along each generator's permutation of the survivors; only the least survivor
+of each orbit is built into a table and checked with verify_axioms.  No
+isomorphism search runs (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998; the tests check the orbit count against Burnside's
+lemma).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .abelian import CoordGroup, abelian_groups_of_order
 from .errors import FinringError, InternalCheckError
-from .iso import fingerprint, is_isomorphic
+from .iso import fingerprint
 from .properties import profile
 from .table import RingTable, verify_axioms
 
@@ -90,29 +101,26 @@ class _GroupSearch:
     def _triple_mask(self, assign, a, b, c):
         """Associativity of (g_a g_b) g_c vs g_a (g_b g_c), batch-vectorized."""
         G = self.G
-        exp = G.exponent
-        x = assign[:, self.slot_pos[(a, b)]].astype(np.int64)
-        y = assign[:, self.slot_pos[(b, c)]].astype(np.int64)
-        dx = G.dec[x]
-        dy = G.dec[y]
-        lhs = np.zeros(len(assign), dtype=np.int64)
-        rhs = np.zeros(len(assign), dtype=np.int64)
+        x = assign[:, self.slot_pos[(a, b)]]
+        y = assign[:, self.slot_pos[(b, c)]]
+        lhs = rhs = 0
+        # one coordinate column at a time: (batch, k) int64 coordinate arrays
+        # of both operands would set the search's peak memory
         for p in range(self.k):
             if p == 0:
-                fac_l = np.full(len(assign), self.basis_elts[c + 1], dtype=np.int64)
-                fac_r = np.full(len(assign), self.basis_elts[a + 1], dtype=np.int64)
+                fac_l, fac_r = self.basis_elts[c + 1], self.basis_elts[a + 1]
             else:
-                fac_l = assign[:, self.slot_pos[(p - 1, c)]].astype(np.int64)
-                fac_r = assign[:, self.slot_pos[(a, p - 1)]].astype(np.int64)
-            lhs = G.add[lhs, G.smul[dx[:, p] % exp, fac_l]]
-            rhs = G.add[rhs, G.smul[dy[:, p] % exp, fac_r]]
+                fac_l = assign[:, self.slot_pos[(p - 1, c)]]
+                fac_r = assign[:, self.slot_pos[(a, p - 1)]]
+            lhs = G.add[lhs, G.smul[G.dec[x, p], fac_l]]
+            rhs = G.add[rhs, G.smul[G.dec[y, p], fac_r]]
         return lhs == rhs
 
     # expansion cap: between associativity checks the batch multiplies by the
-    # candidate count, so oversized batches are split before expanding.  At
-    # order 16, batches of 1 << 22 rows peaked near 500 MiB; 1 << 20 peaks
-    # near 175 MiB and runs no slower.
-    _BATCH_LIMIT = 1 << 20
+    # candidate count, so oversized batches are split before expanding.  On
+    # Z2^4, 1 << 20 rows peak near 77 MiB and 1 << 18 near 46 MiB, at the
+    # same speed.
+    _BATCH_LIMIT = 1 << 18
 
     def survivors(self) -> np.ndarray:
         """All associative structure-constant assignments, shape (m, nslots)."""
@@ -148,22 +156,35 @@ class _GroupSearch:
             return np.zeros((0, nslots), dtype=np.int16)
         return np.vstack(done)
 
+    def constants(self, rows) -> np.ndarray:
+        """Basis products P[..., p, q] = e_p e_q of each assignment, shape (..., k, k)."""
+        rows = np.asarray(rows)
+        P = np.empty(rows.shape[:-1] + (self.k, self.k), dtype=np.int64)
+        P[..., 0, :] = self.basis_elts
+        P[..., :, 0] = self.basis_elts
+        for pos, (i, j) in enumerate(self.schedule):
+            P[..., i + 1, j + 1] = rows[..., pos]
+        return P
+
+    def products(self, P, x, y) -> np.ndarray:
+        """x*y by bilinearity from basis products P[..., p, q]; the leading axes
+        of P broadcast against the shape of x and y."""
+        G = self.G
+        dx, dy = G.dec[x], G.dec[y]
+        out = np.zeros((), dtype=np.int64)
+        for p in range(self.k):
+            for q in range(self.k):
+                coef = (dx[..., p] * dy[..., q]) % G.exponent
+                out = G.add[out, G.smul[coef, P[..., p, q]]]
+        return out
+
     def table(self, row) -> RingTable:
         """Bilinear extension of one assignment to a full RingTable."""
         G = self.G
-        n, k, exp = G.n, self.k, G.exponent
-        P = np.zeros((k, k), dtype=np.int64)
-        P[0, :] = self.basis_elts
-        P[:, 0] = self.basis_elts
-        for (i, j), v in zip(self.schedule, row):
-            P[i + 1, j + 1] = v
-        mul = np.zeros((n, n), dtype=np.int64)
-        dec = G.dec
-        for p in range(k):
-            for q in range(k):
-                coef = (dec[:, p][:, None] * dec[None, :, q]) % exp
-                mul = G.add[mul, G.smul[coef, P[p, q]]]
-        labels = [".".join(str(int(v)) for v in dec[x]) for x in range(n)]
+        n = G.n
+        x = np.arange(n)
+        mul = self.products(self.constants(row), x[:, None], x[None, :])
+        labels = [".".join(str(int(v)) for v in coords) for coords in G.dec]
         return RingTable(
             n,
             labels,
@@ -174,36 +195,100 @@ class _GroupSearch:
             provenance=f"enumerated(order={n},additive={'x'.join(map(str, G.factors))})",
         )
 
+    def stabiliser(self) -> np.ndarray:
+        """H, the automorphisms of the additive group that fix e_0 (where 1 is
+        pinned), as element permutations h[x], shape (|H|, n).
 
-def _dedup(tables):
-    buckets = {}
-    reps = []
-    for T in tables:
-        key = fingerprint(T)
-        bucket = buckets.setdefault(key, [])
-        hit = False
-        for rep in bucket:
-            # rep first: its spanning trace is built once and cached on it
-            res = is_isomorphic(rep, T)
-            if res.isomorphic is None:
-                raise InternalCheckError("isomorphism search exhausted its budget during dedup")
-            if res.isomorphic:
-                hit = True
-                break
-        if not hit:
-            bucket.append(T)
-            reps.append(T)
-    return reps
+        Elements with coordinates in the first i factors only are the indices
+        below d_0...d_{i-1}, so each partial map is defined on a prefix of the
+        indices.  Each step sends e_i to an element killed by d_i and keeps the
+        maps that stay injective on the grown subgroup.
+        """
+        G = self.G
+        maps = np.arange(G.factors[0])[None, :]
+        for d in G.factors[1:]:
+            size = maps.shape[1]
+            cand = G.killed_by(d)
+            steps = G.smul[np.arange(d)[:, None], cand[None, :]]  # steps[c, y] = c*y
+            # the image of x + c*e_i, at index x + c*size, is h(x) + c*y
+            grown = G.add[maps[:, None, None, :], steps.T[None, :, :, None]]
+            grown = grown.reshape(len(maps) * len(cand), d * size)
+            ordered = np.sort(grown, axis=1)
+            maps = grown[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+        return maps
+
+    def generators(self, H) -> np.ndarray:
+        """Rows of H that generate it: each next one is the first element
+        outside the group the earlier ones generate, so there are at most
+        log2 |H| of them."""
+        basis = np.asarray(self.basis_elts[1:], dtype=np.int64)
+        # an automorphism fixing e_0 is known by the images of the other e_i
+        radix = self.G.n ** np.arange(len(basis), dtype=np.int64)
+        codes = H[:, basis] @ radix
+        order = np.argsort(codes)
+        sorted_codes = codes[order]
+
+        def index(images):
+            return order[np.searchsorted(sorted_codes, images @ radix)]
+
+        inside = np.zeros(len(H), dtype=bool)
+        inside[index(basis[None, :])] = True
+        gens = []
+        while not inside.all():
+            gens.append(int(np.argmin(inside)))
+            frontier = np.flatnonzero(inside)
+            while len(frontier):
+                reached = np.concatenate([index(H[g][H[frontier][:, basis]]) for g in gens])
+                frontier = np.unique(reached[~inside[reached]])
+                inside[frontier] = True
+        return H[gens]
+
+    def _codes(self, rows) -> np.ndarray:
+        """One int64 per assignment, ordered as the rows are lexicographically."""
+        n, nslots = self.G.n, len(self.schedule)
+        if n**nslots >= 1 << 63:
+            raise FinringError(f"{nslots} slots over {n} elements do not pack into int64")
+        radix = n ** np.arange(nslots - 1, -1, -1, dtype=np.int64)
+        return np.asarray(rows, dtype=np.int64) @ radix
+
+    def transport(self, rows, h) -> np.ndarray:
+        """The assignments h carries the given ones to: the ring with basis
+        products h(h^-1(e_i) h^-1(e_j)), to which h is an isomorphism."""
+        u = np.argsort(h)[self.basis_elts]
+        prod = h[self.products(self.constants(rows)[:, None, None], u[:, None], u[None, :])]
+        i, j = np.array(self.schedule, dtype=np.int64).reshape(-1, 2).T
+        return prod[:, i + 1, j + 1]
+
+    def orbits(self, rows) -> np.ndarray:
+        """For sorted, distinct survivors, the index of the least row in each
+        row's H-orbit.  Two survivors give isomorphic rings exactly when they
+        share an orbit, so the orbits are the isomorphism classes on this group."""
+        codes = self._codes(rows)
+        perms = []
+        for h in self.generators(self.stabiliser()):
+            image = self._codes(self.transport(rows, h))
+            at = np.minimum(np.searchsorted(codes, image), len(codes) - 1)
+            if (codes[at] != image).any():
+                raise InternalCheckError("an automorphism fixing 1 maps a survivor outside the survivors")
+            perms.append(at)
+        least = np.arange(len(rows))
+        while True:
+            before = least
+            for p in perms:
+                least = np.minimum(least, least[p])
+                least[p] = np.minimum(least[p], least)
+            least = least[least]
+            if np.array_equal(least, before):
+                return least
 
 
 def enumerate_unital(order: int, deep: bool = False, seed=None):
     """All isomorphism classes of unital rings of the given order.
 
-    Orders 2,3,4,5,7,8,9 run directly; 16 is a long run and must be opted
-    into with deep=True.  seed shuffles the search's branching order only:
-    each group's survivors are sorted before tables are built, so the
-    classes, their order and their representative tables are the same for
-    every seed.
+    Orders 2,3,4,5,7,8,9 run directly; 16 must be opted into with
+    deep=True.  Each class is represented by the least survivor of its
+    orbit, so the classes, their order and their tables are the same for
+    every seed; seed shuffles only the search's branching order.
     """
     if order in DEEP_ORDERS:
         if not deep:
@@ -211,21 +296,22 @@ def enumerate_unital(order: int, deep: bool = False, seed=None):
     elif order not in SUPPORTED_ORDERS:
         raise FinringError(f"unsupported enumeration order {order}")
 
-    # tables stream into _dedup, so only the representatives outlive their check
-    reps = _dedup(_tables(order, seed))
+    reps = list(_classes(order, seed))
     reps.sort(key=fingerprint)
     return reps
 
 
-def _tables(order: int, seed):
-    """Every associative unital table of the given order, checked, group by group."""
+def _classes(order: int, seed):
+    """One checked table per isomorphism class, group by group."""
     groups = abelian_groups_of_order(order)
     if seed is not None:
         rng = np.random.default_rng(seed)
         groups = [groups[i] for i in rng.permutation(len(groups))]
     for factors in groups:
         search = _GroupSearch(factors, seed=seed)
-        for row in np.unique(search.survivors(), axis=0):
+        rows = np.unique(search.survivors(), axis=0)
+        least = search.orbits(rows)
+        for row in rows[least == np.arange(len(rows))]:
             T = search.table(row)
             report = verify_axioms(T)
             if not report.passed:

@@ -37,9 +37,11 @@ def element_invariants(R: RingTable) -> np.ndarray:
         cols[:, 1] = R.unit_mask
         cols[:, 2] = _nilpotency_index(R)
         cols[:, 3] = R.central_mask
-        for x in range(n):
-            cols[x, 4] = len(np.unique(R.mul[x]))
-            cols[x, 5] = len(np.unique(R.mul[:, x]))
+        # distinct entries per row (|xR|) and per column (|Rx|) of the sorted table
+        rows = np.sort(R.mul, axis=1)
+        cols[:, 4] = 1 + (rows[:, 1:] != rows[:, :-1]).sum(axis=1)
+        columns = np.sort(R.mul, axis=0)
+        cols[:, 5] = 1 + (columns[1:] != columns[:-1]).sum(axis=0)
         zero = R.mul == R.zero
         cols[:, 6] = zero.sum(axis=1)
         cols[:, 7] = zero.sum(axis=0)

@@ -24,10 +24,8 @@ def dumps_ring(R: RingTable) -> str:
         f"one {R.one}",
         " ".join(R.labels),
     ]
-    for row in R.add:
-        lines.append(" ".join(str(int(v)) for v in row))
-    for row in R.mul:
-        lines.append(" ".join(str(int(v)) for v in row))
+    for T in (R.add, R.mul):
+        lines.extend(" ".join(map(str, row)) for row in T.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -49,6 +47,14 @@ def _intline(lines, i, key):
 
 
 def _table_rows(lines, start, n, what):
+    # one conversion for the whole table; a ragged, non-integer or
+    # out-of-range table falls through to the row walk, which names the line
+    try:
+        T = np.array([line.split() for line in lines[start : start + n]], dtype=np.int64)
+        if T.shape == (n, n) and T.min() >= 0 and T.max() < n:
+            return T.astype(np.int16)
+    except (ValueError, OverflowError):
+        pass
     rows = []
     for r in range(n):
         i = start + r
@@ -70,6 +76,12 @@ def _table_rows(lines, start, n, what):
 
 
 def loads_ring(text: str, provenance: str = "") -> RingTable:
+    # parsing returns before the check, so the traceback of a rejected table
+    # holds the table but not its split lines
+    return checked(_parse(text, provenance))
+
+
+def _parse(text: str, provenance: str) -> RingTable:
     lines = text.splitlines()
     if not lines or lines[0].split() != ["RINGTAB", "1"]:
         raise RingFormatError("file does not start with 'RINGTAB 1'", line=1)
@@ -88,8 +100,7 @@ def loads_ring(text: str, provenance: str = "") -> RingTable:
     extra = 5 + 2 * n
     if any(line.strip() for line in lines[extra:]):
         raise RingFormatError("trailing content after the tables", line=extra + 1)
-    R = RingTable(n, labels, add, mul, zero, one, provenance=provenance)
-    return checked(R)
+    return RingTable(n, labels, add, mul, zero, one, provenance=provenance)
 
 
 def import_ring(path) -> RingTable:

@@ -1,10 +1,19 @@
 """Exhaustive search for unital rings of small order, up to isomorphism."""
 
+import itertools
+
+import numpy as np
 import pytest
 
+from finring.abelian import abelian_groups_of_order
 from finring.construct import cyclic, galois, upper_triangular
-from finring.enumeration import SUPPORTED_ORDERS, enumerate_unital, taxonomy_census
-from finring.errors import FinringError
+from finring.enumeration import (
+    SUPPORTED_ORDERS,
+    _GroupSearch,
+    enumerate_unital,
+    taxonomy_census,
+)
+from finring.errors import FinringError, InternalCheckError
 from finring.iso import is_isomorphic
 from finring.presentation import build_from_text
 from finring.table import direct_sum
@@ -97,3 +106,126 @@ def test_census_summarizes_taxonomy():
     text = c.as_text()
     assert text.splitlines()[0] == "isomorphism classes of order 8: 11"
     assert len(text.splitlines()) == 13  # title + header + 11 rows
+
+
+# -- the orbit step: classes on one additive group are H-orbits ---------------
+#
+# H is checked against a brute-force construction.  Burnside's count, the
+# pairwise check and the discarded-survivor check do not use the generating
+# set that the orbit step propagates along.
+
+ORBIT_ORDERS = (4, 8, 9, 16)
+
+
+@pytest.fixture(scope="module")
+def searches():
+    """(order, factors, search, sorted survivors, least index of each orbit)."""
+    out = []
+    for order in ORBIT_ORDERS:
+        for factors in abelian_groups_of_order(order):
+            search = _GroupSearch(factors)
+            rows = np.unique(search.survivors(), axis=0)
+            out.append((order, factors, search, rows, search.orbits(rows)))
+    return out
+
+
+def naive_stabiliser(G):
+    """Every choice of images y_i (d_i y_i = 0) with e_0 fixed that is a bijection."""
+    basis = G.basis()
+    choices = [G.killed_by(d) for d in G.factors[1:]]
+    out = set()
+    for ys in itertools.product(*choices):
+        images = [basis[0], *ys]
+        h = tuple(
+            int(G.encode(sum(int(c) * G.dec[y] for c, y in zip(G.dec[x], images))))
+            for x in range(G.n)
+        )
+        if len(set(h)) == G.n:
+            out.add(h)
+    return out
+
+
+def test_stabiliser_is_every_automorphism_fixing_one(searches):
+    for order, factors, search, _, _ in searches:
+        G = search.G
+        H = search.stabiliser()
+        assert {tuple(h) for h in H.tolist()} == naive_stabiliser(G), factors
+        assert len(np.unique(H, axis=0)) == len(H)
+        for h in H:
+            assert h[search.one] == search.one
+            assert np.array_equal(h[G.add], G.add[np.ix_(h, h)])
+    sizes = {f: len(s.stabiliser()) for _, f, s, _, _ in searches}
+    assert sizes[(2, 2, 2, 2)] == 1344 and sizes[(2, 2, 2)] == 24 and sizes[(3, 3)] == 6
+
+
+def test_generators_generate_the_stabiliser(searches):
+    for _, factors, search, _, _ in searches:
+        H = search.stabiliser()
+        group = {tuple(range(search.G.n))}
+        frontier = list(group)
+        gens = search.generators(H).tolist()
+        assert len(gens) <= max(1, len(H)).bit_length()
+        while frontier:
+            reached = {tuple(g[x] for x in h) for h in frontier for g in gens}
+            frontier = list(reached - group)
+            group |= reached
+        assert group == {tuple(h) for h in H.tolist()}, factors
+
+
+def test_burnside_count_equals_the_number_of_orbits(searches):
+    # h fixes a survivor iff h is an automorphism of its ring; h is additive
+    # and the product bilinear, so the basis products decide it
+    for order, factors, search, rows, least in searches:
+        H = search.stabiliser()
+        basis = np.array(search.basis_elts)
+        muls = np.stack([search.table(row).mul for row in rows]).astype(np.int64)
+        products = muls[:, basis[:, None], basis[None, :]]
+        fixed = 0
+        for h in H:
+            moved = muls[:, h[basis][:, None], h[basis][None, :]]
+            fixed += int((moved == h[products]).all(axis=(1, 2)).sum())
+        assert fixed % len(H) == 0
+        assert fixed // len(H) == len(np.unique(least)), factors
+
+
+@pytest.mark.parametrize("order", ORBIT_ORDERS)
+def test_representatives_are_pairwise_non_isomorphic(order):
+    rings = enumerate_unital(order, deep=True)
+    for R, S in itertools.combinations(rings, 2):
+        assert is_isomorphic(R, S).isomorphic is False
+
+
+def test_every_discarded_survivor_is_isomorphic_to_its_representative(searches):
+    # every one at orders up to 9, a seeded sample of 200 at order 16
+    pairs = {order: [] for order in ORBIT_ORDERS}
+    for order, _, search, rows, least in searches:
+        for i in np.flatnonzero(least != np.arange(len(rows))):
+            pairs[order].append((search, rows[least[i]], rows[i]))
+    rng = np.random.default_rng(16)
+    pairs[16] = [pairs[16][i] for i in rng.choice(len(pairs[16]), 200, replace=False)]
+    for order, todo in pairs.items():
+        for search, rep, row in todo:
+            res = is_isomorphic(search.table(rep), search.table(row))
+            assert res.isomorphic is True, (order, search.G.factors, row)
+
+
+def test_each_generator_carries_tables_onto_tables(searches):
+    rng = np.random.default_rng(4)
+    for _, factors, search, rows, _ in searches:
+        picks = rows[rng.choice(len(rows), min(len(rows), 12), replace=False)]
+        for h in search.generators(search.stabiliser()):
+            images = search.transport(picks, h)
+            for row, image in zip(picks, images):
+                T, U = search.table(row), search.table(image)
+                grid = np.ix_(h, h)
+                assert np.array_equal(U.add[grid], h[T.add]), factors
+                assert np.array_equal(U.mul[grid], h[T.mul]), factors
+
+
+def test_an_image_outside_the_survivors_is_an_internal_error():
+    search = _GroupSearch((2, 2, 2))
+    rows = np.unique(search.survivors(), axis=0)
+    least = search.orbits(rows)
+    moved = np.flatnonzero(least != np.arange(len(rows)))[0]
+    with pytest.raises(InternalCheckError, match="outside the survivors"):
+        search.orbits(np.delete(rows, moved, axis=0))

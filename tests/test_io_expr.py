@@ -90,6 +90,25 @@ def test_out_of_range_entry():
     reject(lines, 6, "out of range")
 
 
+def test_non_integer_entry():
+    lines = good_lines()
+    lines[6] = "1 2 x 0"
+    reject(lines, 7, "non-integer entry in addition row 1")
+
+
+def test_row_of_the_wrong_length():
+    lines = good_lines()
+    lines[7] = "2 3 0"
+    reject(lines, 8, "addition row 2 has 3 entries, expected 4")
+
+
+def test_out_of_range_entry_in_the_multiplication_table():
+    # Zn(4): rows of the multiplication table start at line 5 + n + 1 = 10
+    lines = good_lines()
+    lines[5 + 4 + 2] = "0 2 4 2"
+    reject(lines, 5 + 4 + 2 + 1, "multiplication row 2 entry out of range")
+
+
 def test_trailing_content():
     lines = good_lines() + ["0 0 0 0"]
     reject(lines, 14, "trailing")
@@ -101,6 +120,20 @@ def test_import_reverifies_ring_laws():
     lines[11] = "0 2 0 2".replace("0 2 0 2", "0 2 0 3")
     with pytest.raises(AxiomViolationError):
         loads_ring("\n".join(lines) + "\n")
+
+
+def test_rejected_table_traceback_does_not_hold_the_split_lines():
+    # a caller that keeps the exception keeps every frame of its traceback
+    lines = good_lines()
+    lines[11] = "0 2 0 3"
+    with pytest.raises(AxiomViolationError) as err:
+        loads_ring("\n".join(lines) + "\n")
+    tb = err.value.__traceback__
+    while tb is not None:
+        frame = tb.tb_frame
+        if frame.f_globals["__name__"].startswith("finring."):
+            assert "lines" not in frame.f_locals, frame.f_code.co_name
+        tb = tb.tb_next
 
 
 # -- expression grammar --------------------------------------------------------

@@ -13,6 +13,7 @@ from finring.construct import (
     upper_triangular,
 )
 from finring.corpus import corpus
+from finring.enumeration import enumerate_unital
 from finring.iso import element_invariants, fingerprint, is_isomorphic
 from finring.presentation import build_from_text
 from finring.properties import (
@@ -69,6 +70,17 @@ def test_element_invariants_shape():
     assert inv.shape[0] == 4
     # zero and one land in singleton classes distinct from each other
     assert not np.array_equal(inv[R.zero], inv[R.one])
+
+
+def test_one_sided_sizes_equal_the_distinct_entries_of_each_row_and_column():
+    rings = [e.build() for e in corpus() if e.order <= 128]
+    rings += [R for order in (4, 8, 9) for R in enumerate_unital(order)]
+    for R in rings:
+        inv = element_invariants(R)
+        right = [len(np.unique(R.mul[x])) for x in range(R.order)]
+        left = [len(np.unique(R.mul[:, x])) for x in range(R.order)]
+        assert inv[:, 4].tolist() == right, R.provenance
+        assert inv[:, 5].tolist() == left, R.provenance
 
 
 # -- positive searches --------------------------------------------------------
