@@ -8,23 +8,28 @@ maximal additive order.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
 
 
 class CoordGroup:
-    """Additive group with precomputed coordinate and operation tables."""
+    """Additive group with precomputed coordinate tables.
+
+    Factors of 1 are allowed, and no factors at all is the trivial group.
+    The n x n addition and scalar tables are built on first use, so a
+    caller that only packs coordinates never pays for them.
+    """
 
     def __init__(self, factors: Sequence[int]):
         factors = tuple(int(d) for d in factors)
-        if not factors or any(d < 2 for d in factors):
-            raise ValueError(f"factors must all be >= 2, got {factors}")
+        if any(d < 1 for d in factors):
+            raise ValueError(f"factors must all be >= 1, got {factors}")
         self.factors = factors
         self.n = int(np.prod(factors))
         self.k = len(factors)
-        self.exponent = reduce(np.lcm, factors)
+        self.exponent = reduce(np.lcm, factors, 1)
         # dec[x] = coordinate vector of x; enc reverses
         dec = np.zeros((self.n, self.k), dtype=np.int64)
         x = np.arange(self.n)
@@ -32,34 +37,47 @@ class CoordGroup:
             dec[:, i] = x % d
             x = x // d
         self.dec = dec
-        self.add = self.encode((dec[:, None, :] + dec[None, :, :]))
-        self.neg = self.encode(-dec)
-        # smul[s, x] = s*x for 0 <= s < exponent
-        s = np.arange(self.exponent)
-        self.smul = self.encode(s[:, None, None] * dec[None, :, :])
         o = np.ones(self.n, dtype=np.int64)
         for i, d in enumerate(factors):
             fo = d // np.gcd(dec[:, i], d)
             o = np.lcm(o, fo)
         self.order_of = o
 
-    def encode(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords)
-        out = np.zeros(coords.shape[:-1], dtype=np.int64)
-        radix = 1
-        for i, d in enumerate(self.factors):
-            out += (coords[..., i] % d) * radix
-            radix *= d
+    @cached_property
+    def add(self) -> np.ndarray:
+        return self.encode(self.dec[:, None, :] + self.dec[None, :, :])
+
+    @cached_property
+    def smul(self) -> np.ndarray:
+        """smul[s, x] = s*x for 0 <= s < exponent."""
+        s = np.arange(self.exponent)
+        return self.encode(s[:, None, None] * self.dec[None, :, :])
+
+    def bilinear(self, P, x, y) -> np.ndarray:
+        """x*y by bilinearity from basis products P[..., p, q]; the leading axes
+        of P broadcast against the shape of x and y."""
+        dx, dy = self.dec[x], self.dec[y]
+        shape = np.broadcast_shapes(np.shape(P)[:-2], dx.shape[:-1], dy.shape[:-1])
+        out = np.zeros(shape, dtype=np.int64)
+        for p in range(self.k):
+            for q in range(self.k):
+                coef = (dx[..., p] * dy[..., q]) % self.exponent
+                out = self.add[out, self.smul[coef, P[..., p, q]]]
         return out
+
+    def encode(self, coords: np.ndarray) -> np.ndarray:
+        """Index of each coordinate vector on the last axis, each coordinate
+        taken mod its factor."""
+        coords = np.asarray(coords)
+        if not self.k:
+            return np.zeros(coords.shape[:-1], dtype=np.int64)
+        # C order varies the last index fastest, so the coordinates go in reversed
+        digits = tuple(np.moveaxis(coords, -1, 0)[::-1])
+        return np.ravel_multi_index(digits, self.factors[::-1], mode="wrap")
 
     def basis(self) -> list:
         """Indices of the standard generators e_i."""
-        out = []
-        radix = 1
-        for d in self.factors:
-            out.append(radix)
-            radix *= d
-        return out
+        return self.encode(np.eye(self.k, dtype=np.int64)).tolist()
 
     def killed_by(self, m: int) -> np.ndarray:
         """Indices of elements x with m*x = 0."""

@@ -130,7 +130,7 @@ def main(argv=None) -> int:
 
     def deep(p):
         p.add_argument("--deep", action="store_true",
-                       help="opt into the long order-16 enumeration")
+                       help="opt into the order-16 enumeration")
 
     def seed(p):
         p.add_argument("--seed", type=int, default=None,

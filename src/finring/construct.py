@@ -89,32 +89,22 @@ def galois(p: int, k: int = 1) -> RingTable:
     p, k = int(p), int(k)
     if p < 2 or any(p % d == 0 for d in range(2, p)):
         raise TableStructureError(f"{p} is not prime")
+    if k < 1:
+        raise TableStructureError(f"field degree must be at least 1, got {k}")
     n = p**k
     if n > MAX_ORDER:
         raise TableStructureError(f"field order {n} exceeds cap {MAX_ORDER}")
     grp = CoordGroup([p] * k)
-    coeff = grp.dec  # (n, k)
-    # full product coefficients, then reduce x^t for t >= k via the modulus
+    # basis products w^i w^j = w^(i+j); row t of powers is w^t mod f
     f = _least_irreducible(p, k)
-    red = {}  # t -> coeff vector of x^t mod f, for t = k .. 2k-2
-    base = [(-c) % p for c in f[:-1]]  # x^k = base(x)
-    cur = list(base) + [0] * (k - 1)  # length 2k-2 workspace, degree < 2k-1
-    for t in range(k, 2 * k - 1):
-        red[t] = tuple(cur[:k])
-        # multiply by x: shift, then fold the overflow coefficient
-        over = cur[k - 1]
-        cur = [0] + cur[: k - 1]
-        if over:
-            cur = [(cur[i] + over * base[i]) % p for i in range(k)]
-    full = np.zeros((n, n, 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            full[:, :, i + j] += coeff[:, None, i] * coeff[None, :, j]
-    out = full[:, :, :k].copy()
-    for t in range(k, 2 * k - 1):
-        out += full[:, :, t : t + 1] * np.array(red[t])[None, None, :]
-    mul = grp.encode(out % p)
-    labels = [_poly_label(coeff[x], "w") for x in range(n)]
+    powers = np.zeros((2 * k - 1, k), dtype=np.int64)
+    for t in range(2 * k - 1):
+        rem = _poly_divmod((0,) * t + (1,), f, p)[1]
+        powers[t, : len(rem)] = rem
+    i = np.arange(k)
+    ids = np.arange(n)
+    mul = grp.bilinear(grp.encode(powers)[i[:, None] + i[None, :]], ids[:, None], ids[None, :])
+    labels = [_poly_label(grp.dec[x], "w") for x in range(n)]
     name = f"GF({p})" if k == 1 else f"GF({p},{k})"
     return checked(RingTable(n, labels, grp.add, mul, 0, 1, provenance=name))
 
@@ -145,73 +135,47 @@ def frobenius_map(F: RingTable) -> np.ndarray:
 # -- matrix-shaped rings ------------------------------------------------------
 
 
-def _pack(entries: np.ndarray, base: int) -> np.ndarray:
-    """Little-endian base-|R0| packing over the trailing axis."""
-    out = np.zeros(entries.shape[:-1], dtype=np.int64)
-    radix = 1
-    for t in range(entries.shape[-1]):
-        out += entries[..., t] * radix
-        radix *= base
-    return out
+def _matrices(R0: RingTable, k: int, pos: list, name: str) -> RingTable:
+    """k x k matrices over R0 with free entries at pos, one coordinate each
+    in that order, and R0's zero everywhere else."""
+    n0 = R0.order
+    n = n0 ** len(pos)
+    if n > MAX_ORDER:
+        raise TableStructureError(f"matrix ring order {n} exceeds cap {MAX_ORDER}")
+    grp = CoordGroup([n0] * len(pos))
+    rows = [i for i, _ in pos]
+    cols = [j for _, j in pos]
+    full = np.full((n, k, k), R0.zero, dtype=np.int64)
+    full[:, rows, cols] = grp.dec
+    add = grp.encode(R0.add[full[:, None], full[None, :]][..., rows, cols])
+    acc = np.full((n, n, k, k), R0.zero, dtype=np.int64)
+    for t in range(k):
+        acc = R0.add[acc, R0.mul[full[:, None, :, t, None], full[None, :, t, None, :]]]
+    mul = grp.encode(acc[..., rows, cols])
+    eye = np.full((k, k), R0.zero, dtype=np.int64)
+    np.fill_diagonal(eye, R0.one)
+    one = int(grp.encode(eye[rows, cols]))
+    labels = [_matrix_label(full[x], R0.labels) for x in range(n)]
+    return checked(
+        RingTable(n, labels, add, mul, 0, one, provenance=f"{name}({k},{R0.provenance})")
+    )
 
 
 def matrix_ring(R0: RingTable, k: int) -> RingTable:
     """Full k x k matrix ring over R0, entries packed row-major."""
     k = int(k)
-    n0 = R0.order
-    n = n0 ** (k * k)
-    if n > MAX_ORDER:
-        raise TableStructureError(f"matrix ring order {n} exceeds cap {MAX_ORDER}")
-    grp = CoordGroup([n0] * (k * k))
-    E = grp.dec.reshape(n, k, k)  # E[x, i, j] = entry index
-    add = grp.encode(R0.add[E[:, None], E[None, :]].reshape(n, n, k * k))
-    acc = None
-    for t in range(k):
-        term = R0.mul[E[:, None, :, t, None], E[None, :, t, None, :]]
-        acc = term if acc is None else R0.add[acc, term]
-    mul = grp.encode(acc.reshape(n, n, k * k))
-    eye = np.full((k, k), R0.zero, dtype=np.int64)
-    np.fill_diagonal(eye, R0.one)
-    one = int(_pack(eye.reshape(-1), n0))
-    labels = [_matrix_label(E[x], R0.labels) for x in range(n)]
-    return checked(
-        RingTable(n, labels, add, mul, 0, one, provenance=f"M({k},{R0.provenance})")
-    )
-
-
-def _matrix_label(mat, base_labels) -> str:
-    rows = ["[" + ",".join(base_labels[int(e)] for e in row) + "]" for row in mat]
-    return "[" + ",".join(rows) + "]"
+    return _matrices(R0, k, [(i, j) for i in range(k) for j in range(k)], "M")
 
 
 def upper_triangular(R0: RingTable, k: int) -> RingTable:
     """Upper triangular k x k matrices over R0 (diagonal included)."""
     k = int(k)
-    n0 = R0.order
-    pos = [(i, j) for i in range(k) for j in range(k) if i <= j]
-    n = n0 ** len(pos)
-    if n > MAX_ORDER:
-        raise TableStructureError(f"triangular ring order {n} exceeds cap {MAX_ORDER}")
-    grp = CoordGroup([n0] * len(pos))
-    full = np.full((n, k, k), R0.zero, dtype=np.int64)
-    for t, (i, j) in enumerate(pos):
-        full[:, i, j] = grp.dec[:, t]
-    packed = lambda mats: grp.encode(
-        np.stack([mats[..., i, j] for (i, j) in pos], axis=-1)
-    )
-    add = packed(R0.add[full[:, None], full[None, :]])
-    acc = None
-    for t in range(k):
-        term = R0.mul[full[:, None, :, t, None], full[None, :, t, None, :]]
-        acc = term if acc is None else R0.add[acc, term]
-    mul = packed(acc)
-    eye = np.full((k, k), R0.zero, dtype=np.int64)
-    np.fill_diagonal(eye, R0.one)
-    one = int(_pack(np.array([eye[i, j] for (i, j) in pos]), n0))
-    labels = [_matrix_label(full[x], R0.labels) for x in range(n)]
-    return checked(
-        RingTable(n, labels, add, mul, 0, one, provenance=f"U({k},{R0.provenance})")
-    )
+    return _matrices(R0, k, [(i, j) for i in range(k) for j in range(k) if i <= j], "U")
+
+
+def _matrix_label(mat, base_labels) -> str:
+    rows = ["[" + ",".join(base_labels[int(e)] for e in row) + "]" for row in mat]
+    return "[" + ",".join(rows) + "]"
 
 
 # -- group algebras -----------------------------------------------------------
@@ -291,7 +255,7 @@ def group_algebra(F: RingTable, G: GroupTable) -> RingTable:
             prod = F.mul[col_h[:, None], C[None, :, h2]]
             acc[:, :, tgt] = F.add[acc[:, :, tgt], prod]
     mul = grp.encode(acc)
-    one = int(F.one * q ** G.identity) if G.identity else int(F.one)
+    one = int(grp.encode(F.one * (np.arange(G.order) == G.identity)))
     labels = [_combo_label(C[x], F, G.labels) for x in range(n)]
     return checked(
         RingTable(
@@ -319,16 +283,15 @@ def skew_quotient_f4() -> RingTable:
     """F4[x; frobenius] / (x^2): pairs a + b*x with x*a = frob(a)*x and x^2 = 0."""
     F = galois(2, 2)
     frob = frobenius_map(F)
-    n = 16
-    a = np.arange(n) % 4
-    b = np.arange(n) // 4
-    enc = lambda u, v: u + 4 * v
-    add = enc(F.add[a[:, None], a[None, :]], F.add[b[:, None], b[None, :]])
+    grp = CoordGroup([4, 4])
+    n = grp.n
+    a, b = grp.dec.T
+    add = grp.encode(np.stack([F.add[a[:, None], a[None, :]], F.add[b[:, None], b[None, :]]], -1))
     # (a1 + b1 x)(a2 + b2 x) = a1 a2 + (a1 b2 + b1 frob(a2)) x
-    mul = enc(
+    mul = grp.encode(np.stack([
         F.mul[a[:, None], a[None, :]],
         F.add[F.mul[a[:, None], b[None, :]], F.mul[b[:, None], frob[a[None, :]]]],
-    )
+    ], -1))
     labels = []
     for x in range(n):
         la, lb = F.labels[a[x]], F.labels[b[x]]
@@ -439,17 +402,16 @@ def formal_triangular(A: RingTable, B: RingTable, M: BimoduleSpec) -> RingTable:
     n = na * m * nb
     if n > MAX_ORDER:
         raise TableStructureError(f"triangular ring order {n} exceeds cap {MAX_ORDER}")
-    ids = np.arange(n)
-    a = ids % na
-    u = (ids // na) % m
-    b = ids // (na * m)
-    enc = lambda x, y, z: x + na * y + na * m * z
-    add = enc(A.add[a[:, None], a[None, :]], M.add[u[:, None], u[None, :]], B.add[b[:, None], b[None, :]])
+    grp = CoordGroup([na, m, nb])
+    a, u, b = grp.dec.T
+    add = grp.encode(np.stack([
+        A.add[a[:, None], a[None, :]], M.add[u[:, None], u[None, :]], B.add[b[:, None], b[None, :]]
+    ], -1))
     mid = M.add[M.left_act[a[:, None], u[None, :]], M.right_act[u[:, None], b[None, :]]]
-    mul = enc(A.mul[a[:, None], a[None, :]], mid, B.mul[b[:, None], b[None, :]])
+    mul = grp.encode(np.stack([A.mul[a[:, None], a[None, :]], mid, B.mul[b[:, None], b[None, :]]], -1))
     mz = M.zero_index()
-    zero = enc(A.zero, mz, B.zero)
-    one = enc(A.one, mz, B.one)
+    zero = grp.encode(np.array([A.zero, mz, B.zero]))
+    one = grp.encode(np.array([A.one, mz, B.one]))
     labels = [f"({A.labels[a[x]]}|{M.labels[u[x]]}|{B.labels[b[x]]})" for x in range(n)]
     pa, pb = A.provenance or "A", B.provenance or "B"
     return checked(
@@ -466,14 +428,9 @@ def nonabelian_reflexive_64() -> RingTable:
       (p1,q1,e1,z1)(p2,q2,e2,z2)
         = (e1*z2*x + p1*p2, e2*z1*x + q1*q2, a1*e2 + c2*e1, c1*z2 + a2*z1)
     """
-    n = 64
-    ids = np.arange(n)
-    a = ids % 2
-    b = (ids // 2) % 2
-    c = (ids // 4) % 2
-    d = (ids // 8) % 2
-    e = (ids // 16) % 2
-    z = ids // 32
+    grp = CoordGroup([2] * 6)
+    n = grp.n
+    a, b, c, d, e, z = grp.dec.T
 
     def pair_mul(a1, b1, a2, b2):
         return (a1 * a2) % 2, (a1 * b2 + b1 * a2) % 2
@@ -492,11 +449,7 @@ def nonabelian_reflexive_64() -> RingTable:
     sb = (qb + E2 * Z1) % 2
     re = (A1 * E2 + C2 * E1) % 2
     rz = (C1 * Z2 + A2 * Z1) % 2
-    enc = lambda a_, b_, c_, d_, e_, z_: a_ + 2 * b_ + 4 * c_ + 8 * d_ + 16 * e_ + 32 * z_
-    mul = enc(ra, rb, sa, sb, re, rz)
-    add = enc(
-        (A1 + A2) % 2, (B1 + B2) % 2, (C1 + C2) % 2, (D1 + D2) % 2, (E1 + E2) % 2, (Z1 + Z2) % 2
-    )
+    mul = grp.encode(np.stack([ra, rb, sa, sb, re, rz], -1))
     one = 1 + 4  # (1, 1, 0, 0)
 
     def plabel(cst, lin):
@@ -511,7 +464,7 @@ def nonabelian_reflexive_64() -> RingTable:
     labels = [
         f"({plabel(a[i], b[i])},{plabel(c[i], d[i])},{e[i]},{z[i]})" for i in range(n)
     ]
-    return checked(RingTable(n, labels, add, mul, 0, one, provenance="Reflexive64()"))
+    return checked(RingTable(n, labels, grp.add, mul, 0, one, provenance="Reflexive64()"))
 
 
 def from_structure_constants(
@@ -545,12 +498,8 @@ def from_structure_constants(
                     f"product e_{i}*e_{j} has additive order {o}, incompatible with "
                     f"factors {grp.factors[i]}, {grp.factors[j]}"
                 )
-    exp = int(grp.exponent)
-    acc = np.zeros((grp.n, grp.n), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            s = (grp.dec[:, i][:, None] * grp.dec[:, j][None, :]) % exp
-            acc = grp.add[acc, grp.smul[s, pidx[i, j]]]
+    x = np.arange(grp.n)
+    mul = grp.bilinear(pidx, x[:, None], x[None, :])
     one = int(grp.encode(np.asarray(one_coords, dtype=np.int64)))
     if labels is None:
         labels = [
@@ -563,5 +512,5 @@ def from_structure_constants(
             for x in range(grp.n)
         ]
     return checked(
-        RingTable(grp.n, labels, grp.add, acc, 0, one, provenance=provenance)
+        RingTable(grp.n, labels, grp.add, mul, 0, one, provenance=provenance)
     )

@@ -166,24 +166,12 @@ class _GroupSearch:
             P[..., i + 1, j + 1] = rows[..., pos]
         return P
 
-    def products(self, P, x, y) -> np.ndarray:
-        """x*y by bilinearity from basis products P[..., p, q]; the leading axes
-        of P broadcast against the shape of x and y."""
-        G = self.G
-        dx, dy = G.dec[x], G.dec[y]
-        out = np.zeros((), dtype=np.int64)
-        for p in range(self.k):
-            for q in range(self.k):
-                coef = (dx[..., p] * dy[..., q]) % G.exponent
-                out = G.add[out, G.smul[coef, P[..., p, q]]]
-        return out
-
     def table(self, row) -> RingTable:
         """Bilinear extension of one assignment to a full RingTable."""
         G = self.G
         n = G.n
         x = np.arange(n)
-        mul = self.products(self.constants(row), x[:, None], x[None, :])
+        mul = G.bilinear(self.constants(row), x[:, None], x[None, :])
         labels = [".".join(str(int(v)) for v in coords) for coords in G.dec]
         return RingTable(
             n,
@@ -255,7 +243,7 @@ class _GroupSearch:
         """The assignments h carries the given ones to: the ring with basis
         products h(h^-1(e_i) h^-1(e_j)), to which h is an isomorphism."""
         u = np.argsort(h)[self.basis_elts]
-        prod = h[self.products(self.constants(rows)[:, None, None], u[:, None], u[None, :])]
+        prod = h[self.G.bilinear(self.constants(rows)[:, None, None], u[:, None], u[None, :])]
         i, j = np.array(self.schedule, dtype=np.int64).reshape(-1, 2).T
         return prod[:, i + 1, j + 1]
 
@@ -292,7 +280,7 @@ def enumerate_unital(order: int, deep: bool = False, seed=None):
     """
     if order in DEEP_ORDERS:
         if not deep:
-            raise FinringError(f"order {order} enumeration is a long run; pass deep=True")
+            raise FinringError(f"order {order} enumeration is opt-in; pass deep=True")
     elif order not in SUPPORTED_ORDERS:
         raise FinringError(f"unsupported enumeration order {order}")
 

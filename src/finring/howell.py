@@ -120,8 +120,9 @@ def reduce_vectors(V, H, pivots, q: int, p: int):
     out = V.copy()
     for i, (c, v) in enumerate(pivots):
         t = out[:, c] // (p**v)
-        np.subtract(out, t[:, None] * H[i][None, :], out=out)
-        out %= q
+        if t.any():
+            np.subtract(out, t[:, None] * H[i][None, :], out=out)
+            out %= q
     return out
 
 

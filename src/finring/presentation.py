@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalCheckError, PresentationError
-from .howell import howell, prime_power, span_size
+from .abelian import CoordGroup
+from .howell import howell, prime_power, reduce_vectors, span_size
 from .table import MAX_ORDER, RingTable, verify_axioms
 
 BASES = {"F2": 2, "F3": 3, "Z4": 4, "Z8": 8, "Z9": 9}
@@ -303,7 +304,7 @@ class ModuleMatrix:
     q: int
     degree: int
     ngens: int
-    pivots: Optional[list] = None
+    pivots: list
 
     @property
     def ncols(self):
@@ -316,15 +317,8 @@ class ModuleMatrix:
         return _asc_word(self.ncols - 1 - col, self.ngens)
 
     def quotient_size(self) -> int:
-        if self.pivots is None:
-            raise InternalCheckError("quotient_size requires canonical form")
         p, _ = prime_power(self.q)
         return span_size(self.pivots, self.ncols, self.q, p)
-
-
-def howell_form(M: ModuleMatrix) -> ModuleMatrix:
-    H, piv = howell(M.rows.reshape(-1, M.ncols), M.q)
-    return ModuleMatrix(H, M.q, M.degree, M.ngens, piv)
 
 
 def bounded_ideal_span(P: Presentation, D: int) -> ModuleMatrix:
@@ -465,10 +459,8 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
     s_cols.sort(key=lambda c: _asc_index(B.word_at(c), g))  # ascending deg-lex
     basis_words = tuple(B.word_at(c) for c in s_cols)
     ranges = tuple(p ** pv[c] if c in pv else q for c in s_cols)
-    strides = [1]
-    for r in ranges:
-        strides.append(strides[-1] * r)
-    if strides[-1] != n:
+    grp = CoordGroup(ranges)
+    if grp.n != n:
         raise InternalCheckError("coset basis ranges do not multiply to quotient size")
 
     col_to_s = {c: i for i, c in enumerate(s_cols)}
@@ -495,16 +487,6 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
             X = (X - t[..., None] * row) % q
         return X
 
-    pivots = B.pivots
-
-    def full_reduce(vec):
-        vec = vec % q
-        for i, (c, v) in enumerate(pivots):
-            t = int(vec[c]) // (p**v)
-            if t:
-                vec = (vec - t * Hrows[i]) % q
-        return vec
-
     memo = {}
 
     def reduce_word(w):
@@ -513,7 +495,7 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
         if len(w) <= D + 1:
             e = np.zeros(B.ncols, dtype=np.int64)
             e[B.col_of(w)] = 1
-            red = full_reduce(e)
+            red = reduce_vectors(e, Hrows, B.pivots, q, p)[0]
             mask = np.zeros(B.ncols, dtype=bool)
             mask[s_cols] = True
             if red[~mask].any():
@@ -534,23 +516,13 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
         for b in range(s):
             T[a, b] = reduce_word(basis_words[a] + basis_words[b])
 
-    V = np.zeros((n, s), dtype=np.int64)
-    idx = np.arange(n)
-    for i in range(s):
-        V[:, i] = (idx // strides[i]) % ranges[i]
-
-    def encode(X):
-        out = np.zeros(X.shape[:-1], dtype=np.int64)
-        for i in range(s):
-            out += X[..., i] * strides[i]
-        return out
-
+    V = grp.dec
     # optimize=True contracts V with T first: O(n^2 s^2), not one O(n^2 s^3) pass
-    mul = encode(sreduce(np.einsum("xa,yb,abw->xyw", V, V, T, optimize=True)))
-    add = encode(sreduce(V[:, None, :] + V[None, :, :]))
+    mul = grp.encode(sreduce(np.einsum("xa,yb,abw->xyw", V, V, T, optimize=True)))
+    add = grp.encode(sreduce(V[:, None, :] + V[None, :, :]))
 
     one_vec = reduce_word(())
-    one = int(encode(one_vec[None, :])[0])
+    one = int(grp.encode(one_vec))
     labels = [_label(V[x], basis_words, P.gens) for x in range(n)]
     R = RingTable(
         n,
@@ -565,7 +537,7 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
     if not report.passed:
         return None, f"table fails axioms: {report.violations[:2]}"
 
-    gen_elts = [int(encode(reduce_word((i,))[None, :])[0]) for i in range(g)]
+    gen_elts = [int(grp.encode(reduce_word((i,)))) for i in range(g)]
     for rel in P.relations:
         acc = R.zero
         for w, c in rel:

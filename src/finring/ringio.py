@@ -34,16 +34,19 @@ def export_ring(R: RingTable, path) -> None:
         fh.write(dumps_ring(R))
 
 
-def _intline(lines, i, key):
+def _intline(lines, i, key, lo, hi):
     if i >= len(lines):
         raise RingFormatError(f"missing {key!r} line", line=i + 1)
     parts = lines[i].split()
     if len(parts) != 2 or parts[0] != key:
         raise RingFormatError(f"expected {key!r} and a value, got {lines[i]!r}", line=i + 1)
     try:
-        return int(parts[1])
+        value = int(parts[1])
     except ValueError:
         raise RingFormatError(f"non-integer value in {lines[i]!r}", line=i + 1)
+    if not lo <= value <= hi:
+        raise RingFormatError(f"{key} {value} is outside {lo}..{hi}", line=i + 1)
+    return value
 
 
 def _table_rows(lines, start, n, what):
@@ -85,11 +88,9 @@ def _parse(text: str, provenance: str) -> RingTable:
     lines = text.splitlines()
     if not lines or lines[0].split() != ["RINGTAB", "1"]:
         raise RingFormatError("file does not start with 'RINGTAB 1'", line=1)
-    n = _intline(lines, 1, "order")
-    if not 1 <= n <= MAX_ORDER:
-        raise RingFormatError(f"order {n} is outside 1..{MAX_ORDER}", line=2)
-    zero = _intline(lines, 2, "zero")
-    one = _intline(lines, 3, "one")
+    n = _intline(lines, 1, "order", 1, MAX_ORDER)
+    zero = _intline(lines, 2, "zero", 0, n - 1)
+    one = _intline(lines, 3, "one", 0, n - 1)
     if len(lines) < 5:
         raise RingFormatError("missing label line", line=5)
     labels = lines[4].split()

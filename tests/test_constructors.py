@@ -21,7 +21,14 @@ from finring import (
     upper_triangular,
     verify_axioms,
 )
-from finring.construct import column_bimodule, frobenius_map, ring_bimodule
+from finring.abelian import CoordGroup
+from finring.construct import (
+    _least_irreducible,
+    _poly_divmod,
+    column_bimodule,
+    frobenius_map,
+    ring_bimodule,
+)
 from finring.table import additive_type
 
 
@@ -39,6 +46,37 @@ def test_galois_fields(p, k, n):
 def test_galois_rejects_composite_base():
     with pytest.raises(TableStructureError):
         galois(6)
+
+
+def test_coord_group_allows_factors_of_one_and_the_trivial_group():
+    G = CoordGroup([1, 2])
+    assert G.n == 2 and G.basis() == [0, 1]
+    assert G.add.tolist() == [[0, 1], [1, 0]]
+    T = CoordGroup(())
+    assert T.n == 1 and T.basis() == [] and T.add.tolist() == [[0]]
+    R = from_structure_constants((), np.zeros((0, 0, 0), dtype=np.int64), [])
+    assert R.order == 1 and R.mul.tolist() == [[0]]
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 1)])
+def test_galois_products_are_polynomial_products_mod_the_modulus(p, k):
+    # element x has base-p digits x_0 .. x_{k-1}, the coefficients of w^0 .. w^{k-1}
+    F = galois(p, k)
+    f = _least_irreducible(p, k)
+    coeffs = [[(x // p**i) % p for i in range(k)] for x in range(F.order)]
+    index = {tuple(c): x for x, c in enumerate(coeffs)}
+    for x in range(F.order):
+        for y in range(F.order):
+            rem = list(_poly_divmod(_poly_mul(coeffs[x], coeffs[y], p), f, p)[1])
+            assert F.mul[x, y] == index[tuple(rem + [0] * (k - len(rem)))]
 
 
 def test_frobenius_squares_elements():
@@ -68,6 +106,22 @@ def test_upper_triangular_u2f2():
     assert U.order == 8
     assert verify_axioms(U).passed
     assert not is_commutative(U)
+
+
+@pytest.mark.parametrize("R0,k", [(cyclic(2), 2), (cyclic(4), 2), (galois(2, 2), 2),
+                                  (cyclic(2), 3)])
+def test_upper_triangular_is_the_triangular_subring_of_the_matrix_ring(R0, k):
+    U, M = upper_triangular(R0, k), matrix_ring(R0, k)
+    at = {lb: x for x, lb in enumerate(M.labels)}
+    emb = np.array([at[lb] for lb in U.labels])
+    assert len(set(emb.tolist())) == U.order == R0.order ** (k * (k + 1) // 2)
+    assert np.array_equal(M.add[emb[:, None], emb[None, :]], emb[U.add])
+    assert np.array_equal(M.mul[emb[:, None], emb[None, :]], emb[U.mul])
+    assert emb[U.zero] == M.zero and emb[U.one] == M.one
+    zero = R0.labels[R0.zero]
+    for lb in U.labels:
+        rows = [row.split(",") for row in lb[2:-2].split("],[")]
+        assert all(rows[i][j] == zero for i in range(k) for j in range(i)), lb
 
 
 def test_quaternion_group_table():

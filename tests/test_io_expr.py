@@ -74,6 +74,13 @@ def test_out_of_range_order_is_rejected_at_the_header(order):
     reject(["RINGTAB 1", f"order {order}", "zero 0", "one 1"], 2, f"order {order} is outside")
 
 
+@pytest.mark.parametrize("lineno,header", [(3, "zero 9"), (4, "one -1")])
+def test_out_of_range_zero_or_one_is_rejected_at_its_line(lineno, header):
+    lines = good_lines()
+    lines[lineno - 1] = header
+    reject(lines, lineno, f"{header} is outside 0..3")
+
+
 def test_short_label_line():
     lines = good_lines()
     lines[4] = "a"
@@ -151,6 +158,9 @@ GRAMMAR_ORDERS = [
     ("sum(M(2,GF(2)),U(2,GF(2)))", 128),
     ("op(U(2,GF(2)))", 8),
     ("sum(GF(2),GF(2),GF(2))", 8),
+    ("M(2,Zn(1))", 1),
+    ("U(3,Zn(1))", 1),
+    ("GA(Zn(1),C2)", 1),
 ]
 
 
@@ -166,6 +176,7 @@ def test_expression_orders(expr, order):
         ("Zn(0)", "positive modulus"),
         ("GF(2,", "unexpected end"),
         ("GF(6)", "not prime"),
+        ("GF(2,0)", "field degree must be at least 1"),
         ("frob(GF(4))", "unknown constructor"),
         ("Zn(4) junk", "trailing"),
         ("GA(GF(2),D4)", "unknown group"),
@@ -185,6 +196,13 @@ def test_cli_build_and_props(capsys):
     out = capsys.readouterr().out
     assert "order=4" in out
     assert "commutative=true" in out
+
+
+def test_cli_builds_the_zero_matrix_ring_and_reports_a_bad_degree(capsys):
+    assert main(["build", "M(2,Zn(1))"]) == 0
+    assert "order 1" in capsys.readouterr().out
+    assert main(["build", "GF(2,0)"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_iso_exit_codes():
