@@ -14,6 +14,7 @@ from finring import (
     galois,
     matrix_ring,
     parse_ring_expr,
+    presentation_build,
     profile,
     upper_triangular,
 )
@@ -38,7 +39,7 @@ print()
 # route 3: generators and relations; the builder finds the minimal degree
 # at which the quotient stabilizes and proves the table is the quotient
 R = build_from_text("F2<u,v>/(u^3,v^2,u^2+uv+vu,uvu)")
-info = R._cache["presentation_build"]
+info = presentation_build(R)
 print(f"presented ring: order {R.order}, stabilized at degree {info.degree}")
 print("monomial basis:", ", ".join("".join("uv"[i] for i in w) or "1" for w in info.basis_words))
 

@@ -28,7 +28,13 @@ from .errors import (
 from .expr import parse_ring_expr
 from .iso import IsoResult, element_invariants, fingerprint, is_isomorphic
 from .peirce import Decomposition, decomposition_report, peirce
-from .presentation import Presentation, build_from_text, build_ring, parse_presentation
+from .presentation import (
+    Presentation,
+    build_from_text,
+    build_ring,
+    parse_presentation,
+    presentation_build,
+)
 from .properties import (
     PropertyProfile,
     is_abelian,

@@ -29,6 +29,7 @@ from .enumeration import enumerate_unital
 from .errors import FinringError
 from .expr import parse_ring_expr
 from .iso import is_isomorphic
+from .presentation import presentation_build
 from .properties import (
     PropertyProfile,
     _closure,
@@ -303,14 +304,13 @@ def _check_entry(entry: CorpusEntry) -> tuple:
 
 
 def _check_basis_span(R: RingTable, words: tuple) -> str:
-    gens = R._cache.get("generator_elements")
-    build = R._cache.get("presentation_build")
-    if gens is None or build is None:
+    build = presentation_build(R)
+    if build is None:
         return "basis_span: ring was not built from a presentation"
     if len(build.basis_words) != len(words):
         return (f"basis_span: build has {len(build.basis_words)} basis words, "
                 f"expected {len(words)}")
-    name_to_elt = dict(zip(build.presentation.gens, gens))
+    name_to_elt = dict(zip(build.presentation.gens, build.generator_elements))
     mask = np.zeros(R.order, dtype=bool)
     mask[R.zero] = True
     for w in words:

@@ -18,8 +18,6 @@ e.g. "F2<u,v>/(u^2,v^2,uv+vu)".
 
 from __future__ import annotations
 
-import re
-
 from .construct import (
     cyclic,
     cyclic_group,
@@ -32,88 +30,42 @@ from .construct import (
     upper_triangular,
 )
 from .errors import ExpressionError, TableStructureError
+from .lexer import Tokens
 from .presentation import build_from_text
 from .table import RingTable, direct_sum, opposite
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([(),]))")
-
-
-class _Tok:
-    __slots__ = ("kind", "val", "pos")
-
-    def __init__(self, kind, val, pos):
-        self.kind = kind
-        self.val = val
-        self.pos = pos
-
-
-def _tokenize(text: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m or m.end() == i:
-            raise ExpressionError(f"unexpected character {text[i]!r} at position {i}")
-        if m.group(1) is not None:
-            toks.append(_Tok("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            toks.append(_Tok("name", m.group(2), m.start(2)))
-        else:
-            toks.append(_Tok(m.group(3), m.group(3), m.start(3)))
-        i = m.end()
-    return toks
-
-
-class _Parser:
+class _Parser(Tokens):
     def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
-
-    def _peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def _next(self, kind=None):
-        t = self._peek()
-        if t is None:
-            raise ExpressionError(
-                f"unexpected end of expression at position {len(self.text)}"
-            )
-        if kind is not None and t.kind != kind:
-            raise ExpressionError(
-                f"expected {kind!r} but found {t.val!r} at position {t.pos}"
-            )
-        self.i += 1
-        return t
+        super().__init__(text, r"[A-Za-z][A-Za-z0-9]*", "(),", ExpressionError)
 
     def _int_arg(self):
-        t = self._next("int")
+        t = self.take("int")
         return t.val, t.pos
 
     def parse(self) -> RingTable:
         out = self._expr()
-        t = self._peek()
-        if t is not None:
+        t = self.peek()
+        if t.kind != "end":
             raise ExpressionError(f"trailing {t.val!r} at position {t.pos}")
         return out
 
     def _expr(self) -> RingTable:
-        t = self._next("name")
+        t = self.take("name")
         name = t.val
-        self._next("(")
+        self.take("(")
         if name == "Zn":
             k, pos = self._int_arg()
             if k < 1:
                 raise ExpressionError(f"Zn needs a positive modulus at position {pos}")
-            self._next(")")
+            self.take(")")
             return cyclic(k)
         if name == "GF":
             p, pos = self._int_arg()
             k = 1
-            if self._peek() is not None and self._peek().kind == ",":
-                self._next(",")
+            if self.peek().kind == ",":
+                self.take(",")
                 k, _ = self._int_arg()
-            self._next(")")
+            self.take(")")
             try:
                 return galois(p, k)
             except TableStructureError as exc:
@@ -122,14 +74,14 @@ class _Parser:
             k, pos = self._int_arg()
             if k < 1:
                 raise ExpressionError(f"{name} needs a positive size at position {pos}")
-            self._next(",")
+            self.take(",")
             base = self._expr()
-            self._next(")")
+            self.take(")")
             return matrix_ring(base, k) if name == "M" else upper_triangular(base, k)
         if name == "GA":
             base = self._expr()
-            self._next(",")
-            g = self._next("name")
+            self.take(",")
+            g = self.take("name")
             if g.val == "Q8":
                 G = quaternion_group()
             elif g.val.startswith("C") and g.val[1:].isdigit() and int(g.val[1:]) >= 1:
@@ -138,27 +90,27 @@ class _Parser:
                 raise ExpressionError(
                     f"unknown group {g.val!r} at position {g.pos}; use Q8 or Cn"
                 )
-            self._next(")")
+            self.take(")")
             return group_algebra(base, G)
         if name == "SkewF4x2":
-            self._next(")")
+            self.take(")")
             return skew_quotient_f4()
         if name == "Reflexive64":
-            self._next(")")
+            self.take(")")
             return nonabelian_reflexive_64()
         if name == "sum":
             parts = [self._expr()]
-            while self._peek() is not None and self._peek().kind == ",":
-                self._next(",")
+            while self.peek().kind == ",":
+                self.take(",")
                 parts.append(self._expr())
-            self._next(")")
+            self.take(")")
             out = parts[0]
             for nxt in parts[1:]:
                 out = direct_sum(out, nxt)
             return out
         if name == "op":
             base = self._expr()
-            self._next(")")
+            self.take(")")
             return opposite(base)
         raise ExpressionError(f"unknown constructor {name!r} at position {t.pos}")
 

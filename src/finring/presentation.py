@@ -12,8 +12,8 @@ built ring, and any declared expected order must match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce as _fold
+import re
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import InternalCheckError, PresentationError
 from .abelian import CoordGroup
 from .howell import howell, prime_power, reduce_vectors, span_size
+from .lexer import Tokens
 from .table import MAX_ORDER, RingTable, verify_axioms
 
 BASES = {"F2": 2, "F3": 3, "Z4": 4, "Z8": 8, "Z9": 9}
@@ -45,60 +46,6 @@ class Presentation:
 
 
 # -- DSL parser ---------------------------------------------------------------
-
-
-class _Tok:
-    __slots__ = ("kind", "val", "pos")
-
-    def __init__(self, kind, val, pos):
-        self.kind, self.val, self.pos = kind, val, pos
-
-
-def _tokenize(text, start):
-    toks = []
-    i = start
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            toks.append(_Tok("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^(),":
-            toks.append(_Tok(ch, ch, i))
-            i += 1
-            continue
-        raise PresentationError(f"unexpected character {ch!r} at position {i}")
-    toks.append(_Tok("end", None, len(text)))
-    return toks
-
-
-def _split_gens(name, pos, gens):
-    """Greedy longest-prefix split of an alphabetic run into generator names."""
-    out = []
-    i = 0
-    by_len = sorted(gens, key=len, reverse=True)
-    while i < len(name):
-        for g in by_len:
-            if name.startswith(g, i):
-                out.append(gens.index(g))
-                i += len(g)
-                break
-        else:
-            raise PresentationError(f"unknown generator in {name!r} at position {pos + i}")
-    return tuple(out)
 
 
 def _padd(a, b, q):
@@ -134,38 +81,13 @@ def _pmul(a, b, q):
     return out
 
 
-def _split_name_tokens(toks, gens):
-    """Expand each alphabetic run into one token per generator, so that
-    exponents bind to the last letter: vu^2 means v*(u^2), not (v*u)^2."""
-    out = []
-    for t in toks:
-        if t.kind != "name":
-            out.append(t)
-            continue
-        word = _split_gens(t.val, t.pos, gens)
-        off = 0
-        for gi in word:
-            out.append(_Tok("gen", gi, t.pos + off))
-            off += len(gens[gi])
-    return out
-
-
-class _RelParser:
-    def __init__(self, toks, gens, q):
-        self.toks = toks
-        self.i = 0
-        self.gens = gens
+class _RelParser(Tokens):
+    def __init__(self, text, start, gens, q):
+        # longest name first, so the alternation splits a run of letters greedily
+        names = "|".join(re.escape(g) for g in sorted(gens, key=len, reverse=True))
+        super().__init__(text, names, "+-*^(),", PresentationError, start)
+        self.index = {g: i for i, g in enumerate(gens)}
         self.q = q
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self, kind=None):
-        t = self.toks[self.i]
-        if kind and t.kind != kind:
-            raise PresentationError(f"expected {kind!r}, got {t.kind!r} at position {t.pos}")
-        self.i += 1
-        return t
 
     def expr(self):
         t = self.peek()
@@ -191,7 +113,7 @@ class _RelParser:
             if k == "*":
                 self.take()
                 acc = _pmul(acc, self.factor(), self.q)
-            elif k in ("int", "gen", "("):  # juxtaposition
+            elif k in ("int", "name", "("):  # juxtaposition
                 acc = _pmul(acc, self.factor(), self.q)
             else:
                 return acc
@@ -213,9 +135,9 @@ class _RelParser:
             self.take()
             c = t.val % self.q
             return {(): c} if c else {}
-        if t.kind == "gen":
+        if t.kind == "name":
             self.take()
-            return {(t.val,): 1}
+            return {(self.index[t.val],): 1}
         if t.kind == "(":
             self.take()
             out = self.expr()
@@ -245,9 +167,7 @@ def parse_presentation(text: str, expected_order: Optional[int] = None) -> Prese
     if slash < 0 or not rest.startswith("/"):
         raise PresentationError("missing '/' before relation list")
 
-    toks = _split_name_tokens(_tokenize(text, slash + 1), gens)
-    q = BASES[base]
-    pp = _RelParser(toks, gens, q)
+    pp = _RelParser(text, slash + 1, gens, BASES[base])
     pp.take("(")
     rels = []
     if pp.peek().kind != ")":
@@ -397,6 +317,12 @@ class PresentationBuild:
     basis_words: tuple
     ranges: tuple
     matrix: ModuleMatrix
+    generator_elements: list  # element index of each generator, in P.gens order
+
+
+def presentation_build(R: RingTable) -> Optional[PresentationBuild]:
+    """How `build_ring` made R, or None when R was not built from a presentation."""
+    return R._cache.get("presentation_build")
 
 
 def build_ring(P: Presentation, min_degree: Optional[int] = None) -> RingTable:
@@ -465,16 +391,15 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
 
     col_to_s = {c: i for i, c in enumerate(s_cols)}
     s = len(s_cols)
-    Hrows = B.rows
+    outside = np.ones(B.ncols, dtype=bool)
+    outside[s_cols] = False
 
     # torsion pivot rows restricted to basis coordinates, in pivot order
     vrows = []
     for i, (c, v) in enumerate(B.pivots):
         if v == 0:
             continue
-        row = Hrows[i]
-        outside = np.ones(B.ncols, dtype=bool)
-        outside[s_cols] = False
+        row = B.rows[i]
         if row[outside].any():
             raise InternalCheckError("torsion pivot row leaks outside coset basis")
         vrows.append((col_to_s[c], p**v, row[s_cols].copy()))
@@ -487,41 +412,30 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
             X = (X - t[..., None] * row) % q
         return X
 
-    memo = {}
+    # 1, the generators and every basis word times a generator: each has
+    # degree <= D + 1, since _closed(B) leaves no basis word of degree D + 1
+    words = [(), *((i,) for i in range(g)), *(w + (i,) for w in basis_words for i in range(g))]
+    E = np.zeros((len(words), B.ncols), dtype=np.int64)
+    E[np.arange(len(words)), [B.col_of(w) for w in words]] = 1
+    red = reduce_vectors(E, B.rows, B.pivots, q, p)
+    if red[:, outside].any():
+        raise InternalCheckError("reduced word leaks outside coset basis")
+    red = red[:, s_cols]
+    one_vec, gen_vecs, right = red[0], red[1 : g + 1], red[g + 1 :].reshape(s, g, s)
 
-    def reduce_word(w):
-        if w in memo:
-            return memo[w]
-        if len(w) <= D + 1:
-            e = np.zeros(B.ncols, dtype=np.int64)
-            e[B.col_of(w)] = 1
-            red = reduce_vectors(e, Hrows, B.pivots, q, p)[0]
-            mask = np.zeros(B.ncols, dtype=bool)
-            mask[s_cols] = True
-            if red[~mask].any():
-                raise InternalCheckError("reduced word leaks outside coset basis")
-            out = red[s_cols]
-        else:
-            head, tail = w[: D + 1], w[D + 1 :]
-            hv = reduce_word(head)
-            out = np.zeros(s, dtype=np.int64)
-            for a in np.flatnonzero(hv):
-                out = out + int(hv[a]) * reduce_word(basis_words[a] + tail)
-            out = sreduce(out)
-        memo[w] = out
-        return out
-
+    # T[a, b] = e_a * basis_words[b], one right multiplication per letter
     T = np.zeros((s, s, s), dtype=np.int64)
-    for a in range(s):
-        for b in range(s):
-            T[a, b] = reduce_word(basis_words[a] + basis_words[b])
+    for b, w in enumerate(basis_words):
+        X = np.eye(s, dtype=np.int64)
+        for x in w:
+            X = sreduce(X @ right[:, x])
+        T[:, b] = X
 
     V = grp.dec
     # optimize=True contracts V with T first: O(n^2 s^2), not one O(n^2 s^3) pass
     mul = grp.encode(sreduce(np.einsum("xa,yb,abw->xyw", V, V, T, optimize=True)))
     add = grp.encode(sreduce(V[:, None, :] + V[None, :, :]))
 
-    one_vec = reduce_word(())
     one = int(grp.encode(one_vec))
     labels = [_label(V[x], basis_words, P.gens) for x in range(n)]
     R = RingTable(
@@ -537,7 +451,7 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
     if not report.passed:
         return None, f"table fails axioms: {report.violations[:2]}"
 
-    gen_elts = [int(grp.encode(reduce_word((i,)))) for i in range(g)]
+    gen_elts = [int(x) for x in grp.encode(gen_vecs)]
     for rel in P.relations:
         acc = R.zero
         for w, c in rel:
@@ -551,8 +465,7 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
     if P.expected_order is not None and n != P.expected_order:
         raise PresentationError(f"built order {n} != declared expected order {P.expected_order}")
 
-    R._cache["presentation_build"] = PresentationBuild(P, D, basis_words, ranges, B)
-    R._cache["generator_elements"] = gen_elts
+    R._cache["presentation_build"] = PresentationBuild(P, D, basis_words, ranges, B, gen_elts)
     return R, None
 
 

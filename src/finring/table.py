@@ -24,10 +24,12 @@ from .errors import (
 # Largest ring order a RingTable accepts.
 MAX_ORDER = 1024
 
-# Cap on entries per temporary block in the chunked triple scans (~4M int16,
-# 8 MiB): at n = 512, blocks of 1 << 24 entries took twice the peak memory
-# and ran the scans slower.
-_BLOCK_ENTRIES = 1 << 22
+# Cap on entries per temporary block in the chunked triple scans (~2M int16,
+# 4 MiB): at n = 512, blocks of 1 << 24 entries took twice the peak memory
+# and ran the scans slower.  With 1 << 22, the 8 MiB temporaries of one
+# n = 256 scan could not reuse the holes earlier ones left in the heap, so
+# the peak memory of `finring verify` swung by 4 MiB with the heap layout.
+_BLOCK_ENTRIES = 1 << 21
 
 _DTYPE = np.int16
 

@@ -13,7 +13,7 @@ from finring.corpus import corpus
 from finring.enumeration import enumerate_unital
 from finring.iso import is_isomorphic
 from finring.peirce import peirce
-from finring.presentation import build_ring, parse_presentation
+from finring.presentation import build_ring, parse_presentation, presentation_build
 from finring.properties import (
     jacobson_radical,
     lower_nilradical,
@@ -96,7 +96,7 @@ def test_criterion_01_catalog_profiles(profiles):
 
     # the order-32 symmetric ring is additively spanned by 1, u, v, uv, vu
     R = ring_of(profiles, "Sym32")
-    u, v = R._cache["generator_elements"]
+    u, v = presentation_build(R).generator_elements
     words = [R.one, u, v, int(R.mul[u, v]), int(R.mul[v, u])]
     assert len(additive_closure(R, words)) == R.order == 32
 
@@ -186,12 +186,12 @@ def test_criterion_07_presentation_stability(catalog):
         seen += 1
         assert R.order == entry.order, name
         P = parse_presentation(entry.recipe)
-        d = R._cache["presentation_build"].degree
+        d = presentation_build(R).degree
         R2 = build_ring(P, min_degree=d + 2)
         assert R2.order == entry.order, name
 
         for S in (R, R2):
-            gens = S._cache["generator_elements"]
+            gens = presentation_build(S).generator_elements
             for rel in P.relations:
                 acc = S.zero
                 for word, coeff in rel:

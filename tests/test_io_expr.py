@@ -180,6 +180,7 @@ def test_expression_orders(expr, order):
         ("frob(GF(4))", "unknown constructor"),
         ("Zn(4) junk", "trailing"),
         ("GA(GF(2),D4)", "unknown group"),
+        ("Zn(4) $", r"'\$' at position 6"),
     ],
 )
 def test_expression_errors_carry_position(expr, fragment):

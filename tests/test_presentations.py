@@ -9,6 +9,7 @@ from finring.presentation import (
     build_from_text,
     build_ring,
     parse_presentation,
+    presentation_build,
 )
 from finring.properties import is_reversible, is_symmetric
 from finring.table import ideal_generated, quotient
@@ -21,6 +22,15 @@ def test_juxtaposition_and_caret_binding():
     # ^ binds to the letter immediately before it, not the whole word
     P = parse_presentation("F2<u,v>/(uv^2)")
     assert P.relations == ((((0, 1, 1), 1),),)
+
+
+def test_multi_letter_generators_split_longest_first():
+    P = parse_presentation("F2<uv,u,v>/(uvu^2)")
+    assert P.relations == ((((0, 1, 1), 1),),)
+    P = parse_presentation("F2<a,ab,b>/(aab)")
+    assert P.relations == ((((0, 1), 1),),)
+    with pytest.raises(PresentationError, match="position 8"):
+        parse_presentation("F2<u>/(uw)")
 
 
 def test_parenthesized_power():
@@ -58,6 +68,7 @@ def test_max_degree_and_expected_order_fields():
         "F2<u1>/(u1)",  # non-alphabetic generator name
         "F2<u>/(w)",  # relation mentions unknown name
         "F2<u>/(u^2)x",  # trailing junk
+        "F2<u>/(u\u00b2)",  # superscript digit, not a decimal exponent
     ],
 )
 def test_parser_rejects_malformed_input(text):
@@ -86,22 +97,23 @@ def test_builds_at_cross_checked_order(text, order):
 
 def test_build_metadata_cached():
     R = build_from_text("F2<u,v>/(u^3,v^2,u^2+uv+vu,uvu)")
-    pb = R._cache["presentation_build"]
+    pb = presentation_build(R)
     assert pb.degree == 2
     assert pb.basis_words == ((), (0,), (1,), (0, 0), (0, 1))
     assert 2 ** len(pb.basis_words) == R.order
-    gens = R._cache["generator_elements"]
+    gens = pb.generator_elements
     assert len(gens) == 2
     assert len(set(gens)) == 2
     assert all(g != R.zero and g != R.one for g in gens)
+    assert presentation_build(quotient(R, ideal_generated(R, gens))) is None
 
 
 def test_rebuild_at_higher_degree_gives_isomorphic_ring():
     text = "F2<u,v>/(u^3,v^2,u^2+uv+vu,uvu)"
     R1 = build_from_text(text)
-    d = R1._cache["presentation_build"].degree
+    d = presentation_build(R1).degree
     R2 = build_ring(parse_presentation(text), min_degree=d + 2)
-    assert R2._cache["presentation_build"].degree >= d + 2
+    assert presentation_build(R2).degree >= d + 2
     assert R2.order == R1.order
     assert is_isomorphic(R1, R2).isomorphic is True
 
@@ -131,7 +143,7 @@ def test_four_relation_quotient_is_not_reversible(four_rel_ring):
 
 def test_socle_relation_cuts_512_down_to_the_reversible_256(four_rel_ring):
     R = four_rel_ring
-    u, v = R._cache["generator_elements"]
+    u, v = presentation_build(R).generator_elements
     w = R.mul[R.mul[R.mul[u, u], v], u]  # the word u^2vu
     assert w != R.zero
     I = ideal_generated(R, [w])
