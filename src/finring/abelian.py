@@ -55,14 +55,16 @@ class CoordGroup:
 
     def bilinear(self, P, x, y) -> np.ndarray:
         """x*y by bilinearity from basis products P[..., p, q]; the leading axes
-        of P broadcast against the shape of x and y."""
+        of P broadcast against the shape of x and y.  Each e_p y is
+        sum_q y_q P[..., p, q], and x*y is sum_p x_p (e_p y)."""
         dx, dy = self.dec[x], self.dec[y]
         shape = np.broadcast_shapes(np.shape(P)[:-2], dx.shape[:-1], dy.shape[:-1])
         out = np.zeros(shape, dtype=np.int64)
         for p in range(self.k):
+            z = 0
             for q in range(self.k):
-                coef = (dx[..., p] * dy[..., q]) % self.exponent
-                out = self.add[out, self.smul[coef, P[..., p, q]]]
+                z = self.add[z, self.smul[dy[..., q], P[..., p, q]]]
+            out = self.add[out, self.smul[dx[..., p], z]]
         return out
 
     def encode(self, coords: np.ndarray) -> np.ndarray:

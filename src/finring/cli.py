@@ -5,14 +5,16 @@
     finring decompose 'sum(M(2,GF(2)),U(2,GF(2)))'
     finring iso 'Zn(4)' 'F2<x>/(x^2)'
     finring enumerate 8 --census
+    finring enumerate 27 --census
     finring verify --deep
     finring export 'GA(GF(2),Q8)' --out f2q8.ringtab
     finring import f2q8.ringtab
 
-`verify` exits 0 only when every corpus expectation and invariant suite
-passes.  `--deep` and `--seed` apply to enumerate and verify: `--deep` opts
-into the order-16 enumeration, and `--seed` shuffles the search order and
-never changes the output.
+`enumerate` runs orders 2, 3, 4, 5, 7, 8, 9 and 27.  `verify` exits 0 only
+when every corpus expectation and invariant suite passes.  `--deep` and
+`--seed` apply to enumerate and verify: `--deep` opts into the order-16
+enumeration, and `--seed` shuffles the search order and never changes the
+output.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .iso import fingerprint
 from .properties import profile
 from .table import RingTable, verify_axioms
 
-SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9, 27)
 DEEP_ORDERS = (16,)
 
 
@@ -98,29 +98,34 @@ class _GroupSearch:
                 cand = self.rng.permutation(cand)
             self.omega.append(cand.astype(np.int16))
 
+        # flat intp tables for _triple_mask, k*n^2 and n^2 entries:
+        # scale[p, x*n + f] = x_p f and add_flat[x*n + y] = x + y
+        n = G.n
+        scale = G.smul[G.dec.T[:, :, None], np.arange(n)]
+        self.scale = scale.reshape(self.k, n * n).astype(np.intp)
+        self.add_flat = G.add.ravel().astype(np.intp)
+
     def _triple_mask(self, assign, a, b, c):
-        """Associativity of (g_a g_b) g_c vs g_a (g_b g_c), batch-vectorized."""
-        G = self.G
-        x = assign[:, self.slot_pos[(a, b)]]
-        y = assign[:, self.slot_pos[(b, c)]]
-        lhs = rhs = 0
-        # one coordinate column at a time: (batch, k) int64 coordinate arrays
-        # of both operands would set the search's peak memory
-        for p in range(self.k):
-            if p == 0:
-                fac_l, fac_r = self.basis_elts[c + 1], self.basis_elts[a + 1]
-            else:
-                fac_l = assign[:, self.slot_pos[(p - 1, c)]]
-                fac_r = assign[:, self.slot_pos[(a, p - 1)]]
-            lhs = G.add[lhs, G.smul[G.dec[x, p], fac_l]]
-            rhs = G.add[rhs, G.smul[G.dec[y, p], fac_r]]
+        """Associativity of (g_a g_b) g_c vs g_a (g_b g_c), batch-vectorized:
+        x g_c = sum_p x_p (e_p g_c) and g_a y = sum_p y_p (g_a e_p)."""
+        n, scale, add = self.G.n, self.scale, self.add_flat
+        xn = assign[:, self.slot_pos[(a, b)]].astype(np.intp) * n
+        yn = assign[:, self.slot_pos[(b, c)]].astype(np.intp) * n
+        # the e_0 = 1 terms are fixed, x_0 g_c and y_0 g_a
+        lhs = scale[0][xn + self.basis_elts[c + 1]]
+        rhs = scale[0][yn + self.basis_elts[a + 1]]
+        # one coordinate column at a time: (batch, k) arrays of both operands
+        # would set the search's peak memory
+        for p in range(1, self.k):
+            lhs = add[lhs * n + scale[p][xn + assign[:, self.slot_pos[(p - 1, c)]]]]
+            rhs = add[rhs * n + scale[p][yn + assign[:, self.slot_pos[(a, p - 1)]]]]
         return lhs == rhs
 
     # expansion cap: between associativity checks the batch multiplies by the
-    # candidate count, so oversized batches are split before expanding.  On
-    # Z2^4, 1 << 20 rows peak near 77 MiB and 1 << 18 near 46 MiB, at the
-    # same speed.
-    _BATCH_LIMIT = 1 << 18
+    # candidate count, so oversized batches are split before expanding.  A
+    # process running the order-16 enumeration peaks near 58 MiB at 1 << 18
+    # rows and near 48 MiB at 1 << 17, at the same speed.
+    _BATCH_LIMIT = 1 << 17
 
     def survivors(self) -> np.ndarray:
         """All associative structure-constant assignments, shape (m, nslots)."""
@@ -273,7 +278,7 @@ class _GroupSearch:
 def enumerate_unital(order: int, deep: bool = False, seed=None):
     """All isomorphism classes of unital rings of the given order.
 
-    Orders 2,3,4,5,7,8,9 run directly; 16 must be opted into with
+    Orders 2,3,4,5,7,8,9,27 run directly; 16 must be opted into with
     deep=True.  Each class is represented by the least survivor of its
     orbit, so the classes, their order and their tables are the same for
     every seed; seed shuffles only the search's branching order.

@@ -69,10 +69,16 @@ def _pscale(a, s, q):
 
 
 def _pmul(a, b, q):
+    """a*b, raising as soon as a word longer than D_MAX gets a nonzero
+    coefficient, so no relation grows past what build_ring can take."""
     out = {}
     for w1, c1 in a.items():
         for w2, c2 in b.items():
             w = w1 + w2
+            if len(w) > D_MAX:
+                if sum(a.get(w[:i], 0) * b.get(w[i:], 0) for i in range(len(w) + 1)) % q:
+                    raise PresentationError(f"relation degree {len(w)} beyond engine bound {D_MAX}")
+                continue
             v = (out.get(w, 0) + c1 * c2) % q
             if v:
                 out[w] = v
@@ -123,9 +129,13 @@ class _RelParser(Tokens):
         if self.peek().kind == "^":
             self.take()
             e = self.take("int").val
-            out = {(): 1 % self.q}
-            for _ in range(e):
-                out = _pmul(out, base, self.q)
+            out = {(): 1}
+            while e:  # repeated squaring
+                if e & 1:
+                    out = _pmul(out, base, self.q)
+                e >>= 1
+                if e:
+                    base = _pmul(base, base, self.q)
             return out
         return base
 

@@ -37,3 +37,10 @@ def test_enumerate_census_of_order_8(capsys):
     out = capsys.readouterr().out
     assert "order 8: 11 isomorphism classes" in out
     assert "isomorphism classes of order 8: 11" in out
+
+
+def test_enumerate_census_of_order_27(capsys):
+    assert main(["enumerate", "27", "--census"]) == 0
+    out = capsys.readouterr().out
+    assert "order 27: 12 isomorphism classes" in out
+    assert "isomorphism classes of order 27: 12" in out

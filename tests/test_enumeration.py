@@ -1,11 +1,12 @@
 """Exhaustive search for unital rings of small order, up to isomorphism."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from finring.abelian import abelian_groups_of_order
+from finring.abelian import CoordGroup, abelian_groups_of_order
 from finring.construct import cyclic, galois, upper_triangular
 from finring.enumeration import (
     SUPPORTED_ORDERS,
@@ -16,11 +17,11 @@ from finring.enumeration import (
 from finring.errors import FinringError, InternalCheckError
 from finring.iso import is_isomorphic
 from finring.presentation import build_from_text
-from finring.table import direct_sum
+from finring.table import _scan_axioms, direct_sum
 
 # class counts for each supported order, cross-checked against the
 # construction-side catalogs below and stable across seeds
-CLASS_COUNTS = {2: 1, 3: 1, 4: 4, 5: 1, 7: 1, 8: 11, 9: 4}
+CLASS_COUNTS = {2: 1, 3: 1, 4: 4, 5: 1, 7: 1, 8: 11, 9: 4, 27: 12}
 
 
 @pytest.mark.parametrize("order", sorted(CLASS_COUNTS))
@@ -64,6 +65,13 @@ def test_order_eight_has_one_noncommutative_class():
     noncomm = [R for R in rings if (R.mul != R.mul.T).any()]
     assert len(noncomm) == 1
     assert is_isomorphic(noncomm[0], upper_triangular(galois(2), 2)).isomorphic is True
+
+
+def test_order_27_has_one_noncommutative_class():
+    rings = enumerate_unital(27)
+    noncomm = [R for R in rings if (R.mul != R.mul.T).any()]
+    assert len(noncomm) == 1
+    assert is_isomorphic(noncomm[0], upper_triangular(galois(3), 2)).isomorphic is True
 
 
 def test_prime_orders_yield_the_prime_field():
@@ -114,7 +122,7 @@ def test_census_summarizes_taxonomy():
 # pairwise check and the discarded-survivor check do not use the generating
 # set that the orbit step propagates along.
 
-ORBIT_ORDERS = (4, 8, 9, 16)
+ORBIT_ORDERS = (4, 8, 9, 16, 27)
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +164,7 @@ def test_stabiliser_is_every_automorphism_fixing_one(searches):
             assert np.array_equal(h[G.add], G.add[np.ix_(h, h)])
     sizes = {f: len(s.stabiliser()) for _, f, s, _, _ in searches}
     assert sizes[(2, 2, 2, 2)] == 1344 and sizes[(2, 2, 2)] == 24 and sizes[(3, 3)] == 6
+    assert sizes[(3, 3, 3)] == 432
 
 
 def test_generators_generate_the_stabiliser(searches):
@@ -196,13 +205,14 @@ def test_representatives_are_pairwise_non_isomorphic(order):
 
 
 def test_every_discarded_survivor_is_isomorphic_to_its_representative(searches):
-    # every one at orders up to 9, a seeded sample of 200 at order 16
+    # every one at orders up to 9, a seeded sample of 200 at orders 16 and 27
     pairs = {order: [] for order in ORBIT_ORDERS}
     for order, _, search, rows, least in searches:
         for i in np.flatnonzero(least != np.arange(len(rows))):
             pairs[order].append((search, rows[least[i]], rows[i]))
     rng = np.random.default_rng(16)
-    pairs[16] = [pairs[16][i] for i in rng.choice(len(pairs[16]), 200, replace=False)]
+    for order in (16, 27):
+        pairs[order] = [pairs[order][i] for i in rng.choice(len(pairs[order]), 200, replace=False)]
     for order, todo in pairs.items():
         for search, rep, row in todo:
             res = is_isomorphic(search.table(rep), search.table(row))
@@ -229,3 +239,110 @@ def test_an_image_outside_the_survivors_is_an_internal_error():
     moved = np.flatnonzero(least != np.arange(len(rows)))[0]
     with pytest.raises(InternalCheckError, match="outside the survivors"):
         search.orbits(np.delete(rows, moved, axis=0))
+
+
+# -- oracles for the fast survivor search and the bilinear product ------------
+
+
+def test_survivors_equal_a_brute_force_over_every_assignment():
+    # every group whose assignments number at most 4,096, each assignment
+    # built into a table and kept when the exhaustive axiom scan passes it
+    checked = []
+    for order in ORBIT_ORDERS:
+        for factors in abelian_groups_of_order(order):
+            search = _GroupSearch(factors)
+            if np.prod([len(c) for c in search.omega]) > 4096:
+                continue
+            kept = [
+                row
+                for row in itertools.product(*search.omega)
+                if _scan_axioms(search.table(np.array(row))).passed
+            ]
+            brute = np.array(kept, dtype=np.int16).reshape(len(kept), len(search.omega))
+            assert np.array_equal(np.unique(search.survivors(), axis=0), brute), factors
+            checked.append(factors)
+    assert {(2, 2), (4, 2), (3, 3), (2, 2, 2), (4, 2, 2)} <= set(checked)
+
+
+def three_gather_mask(search, assign, a, b, c):
+    """The associativity check with 2-D gathers on dec, smul and add."""
+    G = search.G
+    x = assign[:, search.slot_pos[(a, b)]]
+    y = assign[:, search.slot_pos[(b, c)]]
+    lhs = rhs = 0
+    for p in range(search.k):
+        if p == 0:
+            fac_l, fac_r = search.basis_elts[c + 1], search.basis_elts[a + 1]
+        else:
+            fac_l = assign[:, search.slot_pos[(p - 1, c)]]
+            fac_r = assign[:, search.slot_pos[(a, p - 1)]]
+        lhs = G.add[lhs, G.smul[G.dec[x, p], fac_l]]
+        rhs = G.add[rhs, G.smul[G.dec[y, p], fac_r]]
+    return lhs == rhs
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 2), (4, 2, 2, 2), (3, 3, 3)], ids=str)
+def test_triple_mask_equals_the_three_gather_check(factors):
+    search = _GroupSearch(factors)
+    rng = np.random.default_rng(11)
+    assign = np.stack([rng.choice(c, 4000) for c in search.omega], axis=1)
+    triples = [t for checks in search.checks for t in checks]
+    assert len(triples) == search.r**3
+    for a, b, c in triples:
+        mask = search._triple_mask(assign, a, b, c)
+        assert np.array_equal(mask, three_gather_mask(search, assign, a, b, c)), (a, b, c)
+        assert 0 < mask.sum() < len(mask)
+
+
+# sha256 over the shape and int16 bytes of each group's sorted survivors,
+# computed with the three-gather check above
+SURVIVOR_SHA256 = {
+    (16,): "e348257ed6d00ef430391febb897b529694897eefec945a8e16f20bcee055a74",
+    (8, 2): "6c24877aa45008a43af9fdda487bbcb89f32eddca1aadc83660724414ecc5169",
+    (4, 4): "34e6196705ac05e06ae89e07aa801b64332cef2bccbaab306ab298a986dc5569",
+    (4, 2, 2): "3c2ef5cc2a6834953cc6e5b268e8740fd8c32e9da7530a2cdd7a711133ad8a44",
+    (2, 2, 2, 2): "e8ffdbafbd00d55b094b0805c02805f957cd343e93b5291d55befda8efdc6775",
+    (27,): "e348257ed6d00ef430391febb897b529694897eefec945a8e16f20bcee055a74",
+    (9, 3): "d86905b35c4a23c22352dd023853b8a63c92c313e8abbba1ae09cba05e7067a8",
+    (3, 3, 3): "6a43c0963521c3ab85ab237f726a00fb32cc54ee05eb031b4cecb569f0f91039",
+}
+
+
+def test_survivors_match_the_frozen_digests(searches):
+    got = {}
+    for order, factors, _, rows, _ in searches:
+        if order in (16, 27):
+            h = hashlib.sha256(repr(rows.shape).encode())
+            h.update(np.ascontiguousarray(rows, dtype="<i2").tobytes())
+            got[factors] = h.hexdigest()
+    assert got == SURVIVOR_SHA256
+
+
+def double_loop_bilinear(G, P, x, y):
+    """x*y as the sum over p, q of (x_p y_q) P[..., p, q]."""
+    dx, dy = G.dec[x], G.dec[y]
+    shape = np.broadcast_shapes(np.shape(P)[:-2], dx.shape[:-1], dy.shape[:-1])
+    out = np.zeros(shape, dtype=np.int64)
+    for p in range(G.k):
+        for q in range(G.k):
+            coef = (dx[..., p] * dy[..., q]) % G.exponent
+            out = G.add[out, G.smul[coef, P[..., p, q]]]
+    return out
+
+
+@pytest.mark.parametrize(
+    "factors", [(2, 2, 2, 2), (4, 2, 2), (9, 3), (8,), (5, 5), (2, 2, 2, 2, 2)], ids=str
+)
+def test_bilinear_equals_the_double_loop(factors):
+    G = CoordGroup(factors)
+    rng = np.random.default_rng(7)
+    x = np.arange(G.n)
+    # the shapes of a full table (table, galois) and of transport's batch
+    P = rng.integers(0, G.n, (G.k, G.k))
+    full = (P, x[:, None], x[None, :])
+    u = rng.integers(0, G.n, G.k)
+    batch = (rng.integers(0, G.n, (6, 1, 1, G.k, G.k)), u[:, None], u[None, :])
+    for args in (full, batch):
+        got = G.bilinear(*args)
+        assert np.array_equal(got, double_loop_bilinear(G, *args))
+        assert got.shape == np.broadcast_shapes(args[0].shape[:-2], args[1].shape, args[2].shape)

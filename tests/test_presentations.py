@@ -1,5 +1,7 @@
 """Quotient-ring builder: parser, stabilization, and verified emission."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,20 @@ def test_free_algebra_is_reported_as_possibly_infinite():
 def test_relation_degree_beyond_engine_bound():
     with pytest.raises(PresentationError, match="beyond engine bound"):
         build_from_text("F2<u>/(u^11)")
+
+
+def test_a_product_beyond_the_engine_bound_stops_the_parse():
+    # (u+v)^40 has 2^40 words; the parse stops at the first power past degree 10
+    t0 = time.perf_counter()
+    with pytest.raises(PresentationError, match="relation degree 16 beyond engine bound 10"):
+        parse_presentation("F2<u,v>/((u+v)^40)")
+    assert time.perf_counter() - t0 < 1
+
+
+def test_powers_are_taken_by_repeated_squaring():
+    # (1+2u)^2 = 1 over Z4, so every power of 1+2u is 1
+    P = parse_presentation("Z4<u>/((1+2u)^1000000000)")
+    assert P.relations == ((((), 1),),)
 
 
 def test_declared_order_mismatch_is_an_error():
