@@ -94,19 +94,17 @@ def galois(p: int, k: int = 1) -> RingTable:
     n = p**k
     if n > MAX_ORDER:
         raise TableStructureError(f"field order {n} exceeds cap {MAX_ORDER}")
-    grp = CoordGroup([p] * k)
     # basis products w^i w^j = w^(i+j); row t of powers is w^t mod f
     f = _least_irreducible(p, k)
     powers = np.zeros((2 * k - 1, k), dtype=np.int64)
     for t in range(2 * k - 1):
         rem = _poly_divmod((0,) * t + (1,), f, p)[1]
         powers[t, : len(rem)] = rem
-    i = np.arange(k)
-    ids = np.arange(n)
-    mul = grp.bilinear(grp.encode(powers)[i[:, None] + i[None, :]], ids[:, None], ids[None, :])
-    labels = [_poly_label(grp.dec[x], "w") for x in range(n)]
+    labels = [_poly_label(c, "w") for c in CoordGroup([p] * k).dec]
     name = f"GF({p})" if k == 1 else f"GF({p},{k})"
-    return checked(RingTable(n, labels, grp.add, mul, 0, 1, provenance=name))
+    return from_structure_constants(
+        [p] * k, powers[np.add.outer(range(k), range(k))], [1] + [0] * (k - 1), labels, name
+    )
 
 
 def _poly_label(coeffs, var: str) -> str:
@@ -132,33 +130,49 @@ def frobenius_map(F: RingTable) -> np.ndarray:
     return cur
 
 
-# -- matrix-shaped rings ------------------------------------------------------
+# -- rings free over a coefficient ring ---------------------------------------
+
+
+def _monomial_algebra(R0: RingTable, one, products, label, provenance: str) -> RingTable:
+    """The free R0-module on e_0 .. e_{b-1}, b = len(one), with e_i*e_j = e_t
+    for each (i, j, t) in products and 0 for every other pair.  An element is
+    its vector of b coefficients, each an element index of R0; one is the
+    unity's vector and label(coeffs) names an element."""
+    b = len(one)
+    n = R0.order**b
+    if n > MAX_ORDER:
+        raise TableStructureError(f"order {n} of {provenance} exceeds cap {MAX_ORDER}")
+    grp = CoordGroup([R0.order] * b)
+    C = grp.dec
+    add = grp.encode(R0.add[C[:, None, :], C[None, :, :]])
+    acc = np.full((b, n, n), R0.zero, dtype=np.int64)
+    for i, j, t in products:
+        acc[t] = R0.add[acc[t], R0.mul[C[:, None, i], C[None, :, j]]]
+    mul = grp.encode(np.moveaxis(acc, 0, -1))
+    zero, one = grp.encode(np.array([[R0.zero] * b, one]))
+    labels = [label(c) for c in C]
+    return checked(RingTable(n, labels, add, mul, int(zero), int(one), provenance))
 
 
 def _matrices(R0: RingTable, k: int, pos: list, name: str) -> RingTable:
     """k x k matrices over R0 with free entries at pos, one coordinate each
-    in that order, and R0's zero everywhere else."""
-    n0 = R0.order
-    n = n0 ** len(pos)
-    if n > MAX_ORDER:
-        raise TableStructureError(f"matrix ring order {n} exceeds cap {MAX_ORDER}")
-    grp = CoordGroup([n0] * len(pos))
-    rows = [i for i, _ in pos]
-    cols = [j for _, j in pos]
-    full = np.full((n, k, k), R0.zero, dtype=np.int64)
-    full[:, rows, cols] = grp.dec
-    add = grp.encode(R0.add[full[:, None], full[None, :]][..., rows, cols])
-    acc = np.full((n, n, k, k), R0.zero, dtype=np.int64)
-    for t in range(k):
-        acc = R0.add[acc, R0.mul[full[:, None, :, t, None], full[None, :, t, None, :]]]
-    mul = grp.encode(acc[..., rows, cols])
-    eye = np.full((k, k), R0.zero, dtype=np.int64)
-    np.fill_diagonal(eye, R0.one)
-    one = int(grp.encode(eye[rows, cols]))
-    labels = [_matrix_label(full[x], R0.labels) for x in range(n)]
-    return checked(
-        RingTable(n, labels, add, mul, 0, one, provenance=f"{name}({k},{R0.provenance})")
+    in that order, and R0's zero everywhere else.  The basis is the matrix
+    units, E_ij * E_jl = E_il."""
+    at = {ij: t for t, ij in enumerate(pos)}
+    units = (
+        (s, u, at[i, l]) for s, (i, j) in enumerate(pos) for u, (j2, l) in enumerate(pos) if j == j2
     )
+
+    def label(coeffs):
+        entry = dict(zip(pos, coeffs))
+        rows = [
+            "[" + ",".join(R0.labels[entry.get((i, j), R0.zero)] for j in range(k)) + "]"
+            for i in range(k)
+        ]
+        return "[" + ",".join(rows) + "]"
+
+    one = [R0.one if i == j else R0.zero for i, j in pos]
+    return _monomial_algebra(R0, one, units, label, f"{name}({k},{R0.provenance})")
 
 
 def matrix_ring(R0: RingTable, k: int) -> RingTable:
@@ -171,11 +185,6 @@ def upper_triangular(R0: RingTable, k: int) -> RingTable:
     """Upper triangular k x k matrices over R0 (diagonal included)."""
     k = int(k)
     return _matrices(R0, k, [(i, j) for i in range(k) for j in range(k) if i <= j], "U")
-
-
-def _matrix_label(mat, base_labels) -> str:
-    rows = ["[" + ",".join(base_labels[int(e)] for e in row) + "]" for row in mat]
-    return "[" + ",".join(rows) + "]"
 
 
 # -- group algebras -----------------------------------------------------------
@@ -238,29 +247,13 @@ def quaternion_group() -> GroupTable:
 
 def group_algebra(F: RingTable, G: GroupTable) -> RingTable:
     """The group ring F[G]: formal F-combinations of group elements."""
-    q = F.order
-    n = q**G.order
-    if n > MAX_ORDER:
-        raise TableStructureError(f"group algebra order {n} exceeds cap {MAX_ORDER}")
-    grp = CoordGroup([q] * G.order)
-    C = grp.dec  # C[x, g] = coefficient of group element g
-    add = grp.encode(F.add[C[:, None, :], C[None, :, :]])
-    acc = np.full((n, n, G.order), F.zero, dtype=np.int64)
-    for h in range(G.order):
-        col_h = C[:, h]
-        if not col_h.any():
-            continue
-        for h2 in range(G.order):
-            tgt = int(G.op[h, h2])
-            prod = F.mul[col_h[:, None], C[None, :, h2]]
-            acc[:, :, tgt] = F.add[acc[:, :, tgt], prod]
-    mul = grp.encode(acc)
-    one = int(grp.encode(F.one * (np.arange(G.order) == G.identity)))
-    labels = [_combo_label(C[x], F, G.labels) for x in range(n)]
-    return checked(
-        RingTable(
-            n, labels, add, mul, 0, one, provenance=f"GA({F.provenance},{G.name})"
-        )
+    g = range(G.order)
+    return _monomial_algebra(
+        F,
+        [F.one if h == G.identity else F.zero for h in g],
+        ((h, h2, G.op[h, h2]) for h in g for h2 in g),
+        lambda c: _combo_label(c, F, G.labels),
+        f"GA({F.provenance},{G.name})",
     )
 
 
@@ -427,44 +420,21 @@ def nonabelian_reflexive_64() -> RingTable:
 
       (p1,q1,e1,z1)(p2,q2,e2,z2)
         = (e1*z2*x + p1*p2, e2*z1*x + q1*q2, a1*e2 + c2*e1, c1*z2 + a2*z1)
+
+    On the F2-basis (a, b, c, d, e, z) that is 12 nonzero products, each a
+    basis element: aa = a, ab = ba = ez = b, cc = c, cd = dc = ze = d,
+    ae = ec = e and cz = za = z.
     """
-    grp = CoordGroup([2] * 6)
-    n = grp.n
-    a, b, c, d, e, z = grp.dec.T
-
-    def pair_mul(a1, b1, a2, b2):
-        return (a1 * a2) % 2, (a1 * b2 + b1 * a2) % 2
-
-    A1, A2 = a[:, None], a[None, :]
-    B1, B2 = b[:, None], b[None, :]
-    C1, C2 = c[:, None], c[None, :]
-    D1, D2 = d[:, None], d[None, :]
-    E1, E2 = e[:, None], e[None, :]
-    Z1, Z2 = z[:, None], z[None, :]
-    pa, pb = pair_mul(A1, B1, A2, B2)
-    qa, qb = pair_mul(C1, D1, C2, D2)
-    ra = pa
-    rb = (pb + E1 * Z2) % 2
-    sa = qa
-    sb = (qb + E2 * Z1) % 2
-    re = (A1 * E2 + C2 * E1) % 2
-    rz = (C1 * Z2 + A2 * Z1) % 2
-    mul = grp.encode(np.stack([ra, rb, sa, sb, re, rz], -1))
-    one = 1 + 4  # (1, 1, 0, 0)
-
-    def plabel(cst, lin):
-        if cst and lin:
-            return "1+x"
-        if cst:
-            return "1"
-        if lin:
-            return "x"
-        return "0"
-
+    names = "abcdez"
+    P = np.zeros((6, 6, 6), dtype=np.int64)
+    for x, y, t in "aaa abb bab ezb ccc cdd dcd zed aee ece czz zaz".split():
+        P[names.index(x), names.index(y), names.index(t)] = 1
+    pair = ("0", "1", "x", "1+x")  # cst + lin*x at index cst + 2*lin
     labels = [
-        f"({plabel(a[i], b[i])},{plabel(c[i], d[i])},{e[i]},{z[i]})" for i in range(n)
+        f"({pair[a + 2 * b]},{pair[c + 2 * d]},{e},{z})"
+        for a, b, c, d, e, z in CoordGroup([2] * 6).dec
     ]
-    return checked(RingTable(n, labels, grp.add, mul, 0, one, provenance="Reflexive64()"))
+    return from_structure_constants([2] * 6, P, [1, 0, 1, 0, 0, 0], labels, "Reflexive64()")
 
 
 def from_structure_constants(

@@ -68,22 +68,33 @@ def _pscale(a, s, q):
     return out
 
 
-def _pmul(a, b, q):
-    """a*b, raising as soon as a word longer than D_MAX gets a nonzero
-    coefficient, so no relation grows past what build_ring can take."""
+def _parts(a, g):
+    """{degree d: coefficients of a's degree-d words, indexed by word value in base g}.
+
+    int16 holds any part of a product: coefficients are below 9, so a sum of at
+    most D_MAX + 1 products of two of them stays below 1,000."""
     out = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = w1 + w2
-            if len(w) > D_MAX:
-                if sum(a.get(w[:i], 0) * b.get(w[i:], 0) for i in range(len(w) + 1)) % q:
-                    raise PresentationError(f"relation degree {len(w)} beyond engine bound {D_MAX}")
-                continue
-            v = (out.get(w, 0) + c1 * c2) % q
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
+    for w, c in a.items():
+        part = out.setdefault(len(w), np.zeros(g ** len(w), dtype=np.int16))
+        part[_asc_index(w, g) - _ncols(g, len(w) - 1)] = c
+    return out
+
+
+def _pmul(a, b, q, g, bound):
+    """a*b in g generators, raising when a word longer than bound keeps a
+    nonzero coefficient, so no relation grows past what build_ring can take.
+    Word values concatenate as v1 * g^len(w2) + v2, so the degree-d part of
+    a*b is the sum of the flattened outer products of a's degree-i and b's
+    degree-(d-i) parts: every pair of words is accumulated once, in numpy."""
+    pa, pb = _parts(a, g), _parts(b, g)
+    out = {}
+    for d in sorted({i + j for i in pa for j in pb}):
+        part = sum(np.outer(pa[i], pb[d - i]).ravel() for i in pa if d - i in pb) % q
+        hits = np.flatnonzero(part)
+        if len(hits) and d > bound:
+            raise PresentationError(f"relation degree {d} beyond engine bound {bound}")
+        for v in hits.tolist():
+            out[_asc_word(_ncols(g, d - 1) + v, g)] = int(part[v])
     return out
 
 
@@ -94,6 +105,11 @@ class _RelParser(Tokens):
         super().__init__(text, names, "+-*^(),", PresentationError, start)
         self.index = {g: i for i, g in enumerate(gens)}
         self.q = q
+        self.g = len(gens)
+        self.bound = degree_bound(self.g)
+
+    def mul(self, a, b):
+        return _pmul(a, b, self.q, self.g, self.bound)
 
     def expr(self):
         t = self.peek()
@@ -118,9 +134,9 @@ class _RelParser(Tokens):
             k = self.peek().kind
             if k == "*":
                 self.take()
-                acc = _pmul(acc, self.factor(), self.q)
+                acc = self.mul(acc, self.factor())
             elif k in ("int", "name", "("):  # juxtaposition
-                acc = _pmul(acc, self.factor(), self.q)
+                acc = self.mul(acc, self.factor())
             else:
                 return acc
 
@@ -132,10 +148,10 @@ class _RelParser(Tokens):
             out = {(): 1}
             while e:  # repeated squaring
                 if e & 1:
-                    out = _pmul(out, base, self.q)
+                    out = self.mul(out, base)
                 e >>= 1
                 if e:
-                    base = _pmul(base, base, self.q)
+                    base = self.mul(base, base)
             return out
         return base
 
@@ -203,6 +219,13 @@ def parse_presentation(text: str, expected_order: Optional[int] = None) -> Prese
 
 def _ncols(g: int, D: int) -> int:
     return sum(g**d for d in range(D + 1))
+
+
+def degree_bound(g: int) -> int:
+    """Largest word degree D <= D_MAX handled for g generators: the one whose
+    word module is no wider than the 2,047 columns two generators reach at
+    D_MAX (10, 10, 6, 5, 4 for g = 1 .. 5)."""
+    return max(D for D in range(D_MAX + 1) if _ncols(g, D) <= _ncols(2, D_MAX))
 
 
 def _asc_index(w, g: int) -> int:
@@ -353,13 +376,14 @@ def build_ring(P: Presentation, min_degree: Optional[int] = None) -> RingTable:
             spans[E] = bounded_ideal_span(P, E)
         return spans[E]
 
+    bound = degree_bound(g)
     reldeg = max(1, P.max_degree())
     dfloor = 1 if min_degree is None else max(1, min_degree)
     estart = max(reldeg, dfloor + 1)
-    if estart > D_MAX:
-        raise PresentationError(f"relation degree {reldeg} beyond engine bound {D_MAX}")
+    if estart > bound:
+        raise PresentationError(f"relation degree {reldeg} beyond engine bound {bound}")
     rejects: list = []
-    for E in range(estart, D_MAX + 1):
+    for E in range(estart, bound + 1):
         HE = span(E)
         for D in range(dfloor, E):
             B = _harvest(HE, D + 1)
@@ -373,7 +397,7 @@ def build_ring(P: Presentation, min_degree: Optional[int] = None) -> RingTable:
             rejects.append(f"candidate D={D} E={E}: {why}")
     detail = ("; " + "; ".join(rejects[-2:])) if rejects else ""
     raise PresentationError(
-        f"possibly infinite ring: quotient size not stabilized by degree {D_MAX}{detail}"
+        f"possibly infinite ring: quotient size not stabilized by degree {bound}{detail}"
     )
 
 

@@ -169,21 +169,6 @@ def reversible_witness(R: RingTable):
     return None
 
 
-def semicommutative_witness(R: RingTable):
-    """(a, r, b) with ab = 0 but arb != 0."""
-    mul, z = R.mul, R.zero
-    pairs = np.argwhere(mul == z)
-    for p0, p1 in _row_blocks(len(pairs), R.order):
-        chunk = pairs[p0:p1]
-        ar = mul[chunk[:, 0], :]  # (m, n)
-        arb = mul[ar, chunk[:, 1][:, None]]
-        viol = arb != z
-        if viol.any():
-            i, r = np.argwhere(viol)[0]
-            return (int(chunk[i, 0]), int(r), int(chunk[i, 1]))
-    return None
-
-
 def _zero_row_products(R: RingTable) -> np.ndarray:
     """Q[a, b] true iff a*r*b = 0 for every r: row a is r-ann(aR)."""
 
@@ -197,6 +182,16 @@ def _zero_row_products(R: RingTable) -> np.ndarray:
         return Q
 
     return R.cached("zero_row_products", build)
+
+
+def semicommutative_witness(R: RingTable):
+    """(a, r, b) with ab = 0 but arb != 0."""
+    viol = (R.mul == R.zero) & ~_zero_row_products(R)
+    if not viol.any():
+        return None
+    a, b = np.argwhere(viol)[0]
+    arb = R.mul[R.mul[a, :], b]
+    return (int(a), int(np.flatnonzero(arb != R.zero)[0]), int(b))
 
 
 def reflexive_witness(R: RingTable):

@@ -21,6 +21,8 @@ from finring import (
     upper_triangular,
     verify_axioms,
 )
+from finring.iso import is_isomorphic
+from finring.table import RingTable, checked
 from finring.abelian import CoordGroup
 from finring.construct import (
     _least_irreducible,
@@ -122,6 +124,36 @@ def test_upper_triangular_is_the_triangular_subring_of_the_matrix_ring(R0, k):
     for lb in U.labels:
         rows = [row.split(",") for row in lb[2:-2].split("],[")]
         assert all(rows[i][j] == zero for i in range(k) for j in range(i)), lb
+
+
+def _z3_with_zero_at_1():
+    # Z3 relabelled by x -> x + 1 mod 3: zero is element 1 and one is element 2
+    Z3 = cyclic(3)
+    pi = np.array([1, 2, 0])
+    sigma = np.argsort(pi)
+    grid = np.ix_(sigma, sigma)
+    labels = [Z3.labels[i] for i in sigma]
+    return checked(RingTable(3, labels, pi[Z3.add[grid]], pi[Z3.mul[grid]], 1, 2, "Z3'"))
+
+
+@pytest.mark.parametrize("build", [
+    lambda R: matrix_ring(R, 2),
+    lambda R: upper_triangular(R, 2),
+    lambda R: group_algebra(R, cyclic_group(2)),
+], ids=["M", "U", "GA"])
+def test_coefficient_zero_and_one_may_sit_at_any_index(build):
+    R0 = _z3_with_zero_at_1()
+    assert (R0.zero, R0.one) == (1, 2)
+    R, S = build(R0), build(cyclic(3))
+    assert R.labels[R.zero] == S.labels[S.zero]
+    assert R.labels[R.one] == S.labels[S.one]
+    r = is_isomorphic(R, S)
+    assert r.isomorphic is True
+    phi = np.asarray(r.mapping)
+    assert sorted(phi.tolist()) == list(range(S.order))
+    assert np.array_equal(S.add[np.ix_(phi, phi)], phi[R.add])
+    assert np.array_equal(S.mul[np.ix_(phi, phi)], phi[R.mul])
+    assert (phi[R.zero], phi[R.one]) == (S.zero, S.one)
 
 
 def test_quaternion_group_table():

@@ -8,8 +8,10 @@ import pytest
 from finring.errors import PresentationError
 from finring.iso import is_isomorphic
 from finring.presentation import (
+    _pmul,
     build_from_text,
     build_ring,
+    degree_bound,
     parse_presentation,
     presentation_build,
 )
@@ -181,6 +183,64 @@ def test_a_product_beyond_the_engine_bound_stops_the_parse():
     with pytest.raises(PresentationError, match="relation degree 16 beyond engine bound 10"):
         parse_presentation("F2<u,v>/((u+v)^40)")
     assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("text", [
+    "Z4<u,v,w>/((2(u+v+w)^6)(2(u+v+w)^6))",
+    "Z4<u,v>/((2(u+v)^10)(2(u+v)^10))",
+])
+def test_a_product_whose_long_words_all_cancel_is_quick(text):
+    # 2x * 2y = 0 over Z4: every word of the product cancels, none is long
+    t0 = time.perf_counter()
+    assert parse_presentation(text).relations == ()
+    assert time.perf_counter() - t0 < 1
+
+
+def brute_pmul(a, b, q):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            out[w1 + w2] = (out.get(w1 + w2, 0) + c1 * c2) % q
+    return {w: c for w, c in out.items() if c}
+
+
+@pytest.mark.parametrize("q,g", [(2, 1), (4, 2), (9, 3), (8, 2)])
+def test_pmul_agrees_with_the_pairwise_product(q, g):
+    rng = np.random.default_rng(q * 10 + g)
+
+    def poly():
+        words = [tuple(rng.integers(g, size=rng.integers(5))) for _ in range(rng.integers(1, 12))]
+        return {w: int(rng.integers(1, q)) for w in words}
+
+    for _ in range(30):
+        a, b = poly(), poly()
+        want = brute_pmul(a, b, q)
+        top = max(map(len, want), default=0)
+        assert _pmul(a, b, q, g, 8) == want
+        if top:
+            with pytest.raises(PresentationError, match=f"relation degree {top} beyond"):
+                _pmul(a, b, q, g, top - 1)
+
+
+def test_the_degree_bound_keeps_the_word_module_within_2047_columns():
+    assert [degree_bound(g) for g in range(1, 6)] == [10, 10, 6, 5, 4]
+    with pytest.raises(PresentationError, match="relation degree 7 beyond engine bound 6"):
+        parse_presentation("F2<u,v,w>/(u^7)")
+
+
+@pytest.mark.parametrize("text", ["F2<u,v,w>/(u^5)", "F2<u,v,w>/(u^3,v^3,w^3)"])
+def test_infinite_three_generator_quotients_stop_at_the_degree_bound(text):
+    t0 = time.perf_counter()
+    with pytest.raises(PresentationError, match="not stabilized by degree 6"):
+        build_from_text(text)
+    assert time.perf_counter() - t0 < 2
+
+
+def test_three_generator_exterior_algebra_builds_within_the_bound():
+    t0 = time.perf_counter()
+    R = build_from_text("F2<u,v,w>/(u^2,v^2,w^2,uv+vu,uw+wu,vw+wv)")
+    assert R.order == 256
+    assert time.perf_counter() - t0 < 2
 
 
 def test_powers_are_taken_by_repeated_squaring():

@@ -20,6 +20,7 @@ from finring.properties import (
     nilpotent_set,
     profile,
     right_duo_witness,
+    semicommutative_witness,
     upper_nilradical,
 )
 from finring.table import direct_sum, opposite, projection_map, quotient, right_annihilator
@@ -280,3 +281,25 @@ def test_ps_i_is_evaluated_on_rings_of_order_256_and_512(text):
     assert p.order in (256, 512)
     assert p.ps_i is p.ni
     assert f"ps_i={str(p.ni).lower()}" in p.as_kv()
+
+
+def brute_semicommutative_witness(R):
+    """The lexicographically first (a, b) with ab = 0 and some arb != 0, with its least r."""
+    mul, n, zero = R.mul.tolist(), R.order, R.zero
+    for a in range(n):
+        for b in range(n):
+            if mul[a][b] == zero:
+                for r in range(n):
+                    if mul[mul[a][r]][b] != zero:
+                        return (a, r, b)
+    return None
+
+
+def test_semicommutative_witness_is_the_lexicographic_first(rings_to_128):
+    failing = 0
+    for name, R in rings_to_128:
+        for S in (R, opposite(R)):
+            want = brute_semicommutative_witness(S)
+            assert semicommutative_witness(S) == want, name
+            failing += want is not None
+    assert failing >= 20
