@@ -53,19 +53,20 @@ class CoordGroup:
         s = np.arange(self.exponent)
         return self.encode(s[:, None, None] * self.dec[None, :, :])
 
+    def linear(self, images, x) -> np.ndarray:
+        """The additive map with e_p -> images[..., p] at x, sum_p x_p images[..., p];
+        the leading axes of images broadcast against the shape of x."""
+        dx = self.dec[x]
+        out = np.zeros(np.broadcast_shapes(np.shape(images)[:-1], dx.shape[:-1]), dtype=np.int64)
+        for p in range(self.k):
+            out = self.add[out, self.smul[dx[..., p], images[..., p]]]
+        return out
+
     def bilinear(self, P, x, y) -> np.ndarray:
         """x*y by bilinearity from basis products P[..., p, q]; the leading axes
         of P broadcast against the shape of x and y.  Each e_p y is
         sum_q y_q P[..., p, q], and x*y is sum_p x_p (e_p y)."""
-        dx, dy = self.dec[x], self.dec[y]
-        shape = np.broadcast_shapes(np.shape(P)[:-2], dx.shape[:-1], dy.shape[:-1])
-        out = np.zeros(shape, dtype=np.int64)
-        for p in range(self.k):
-            z = 0
-            for q in range(self.k):
-                z = self.add[z, self.smul[dy[..., q], P[..., p, q]]]
-            out = self.add[out, self.smul[dx[..., p], z]]
-        return out
+        return self.linear(self.linear(np.asarray(P), np.asarray(y)[..., None]), x)
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         """Index of each coordinate vector on the last axis, each coordinate

@@ -15,7 +15,7 @@ import numpy as np
 
 from .abelian import CoordGroup
 from .errors import InternalCheckError, TableStructureError
-from .table import MAX_ORDER, RingTable, checked
+from .table import MAX_ORDER, RingTable, _row_blocks, checked
 
 _DTYPE = np.int16
 
@@ -205,8 +205,11 @@ class GroupTable:
         n = self.order
         if op.shape != (n, n):
             raise TableStructureError("group table shape mismatch")
-        if not np.array_equal(op[op, :], op[:, op]):
-            raise TableStructureError("group operation not associative")
+        # (xy)z against x(yz) a block of x at a time, not as one n^3 array
+        for a0, a1 in _row_blocks(n, n * n):
+            rows = op[a0:a1]
+            if not np.array_equal(op[rows], rows[:, op]):
+                raise TableStructureError("group operation not associative")
         ids = np.arange(n)
         if not (np.array_equal(op[self.identity], ids) and np.array_equal(op[:, self.identity], ids)):
             raise TableStructureError("group identity broken")

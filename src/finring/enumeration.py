@@ -4,13 +4,20 @@ isomorphism class.
 Strategy per abelian group G: the identity element must have additive order
 equal to the group exponent, and every such element is equivalent under an
 additive automorphism, so the identity is pinned to the first basis vector
-e_0.  The unknowns are the products of the remaining basis generators;
-torsion bounds each product to the subgroup killed by gcd of the generator
-orders.  Assignment runs over a staircase schedule (row 0, column 0, row 1,
-...) with vectorized batch filtering: a generator triple becomes checkable as
-soon as its row and column are fully assigned, and associativity on generator
-triples extends bilinearly to the whole table.  The assignments that pass are
-the survivors.
+e_0.  The unknowns are the products slot(i, j) = g_i g_j of the remaining
+basis generators g_i = e_{i+1}; torsion bounds each product to the subgroup
+killed by gcd of the generator orders.  Assignment runs over a staircase
+schedule (row 0, column 0, row 1, ...), and associativity on generator
+triples extends bilinearly to the whole table.  On a triple it says that left
+multiplication by g_a commutes with right multiplication by g_c: with L_a the
+additive map e_0 -> g_a, e_p -> slot(a, p-1) and R_c the map e_0 -> g_c,
+e_p -> slot(p-1, c), (g_a g_b) g_c = R_c(slot(a, b)) must equal
+g_a (g_b g_c) = L_a(slot(b, c)).  A triple becomes checkable as soon as row a
+and column c are fully assigned.  A table of every additive map with e_0 sent
+to a generator decides each side with one lookup, whose index is linear in
+the slots, so each new slot is checked on the whole (parent, candidate) grid
+at once and only the pairs that pass become rows.  The assignments that pass
+are the survivors.
 
 Classes: two survivors give isomorphic rings exactly when an automorphism of
 G that fixes e_0 carries one set of basis products onto the other, since a
@@ -98,33 +105,52 @@ class _GroupSearch:
                 cand = self.rng.permutation(cand)
             self.omega.append(cand.astype(np.int16))
 
-        # flat intp tables for _triple_mask, k*n^2 and n^2 entries:
-        # scale[p, x*n + f] = x_p f and add_flat[x*n + y] = x + y
-        n = G.n
-        scale = G.smul[G.dec.T[:, :, None], np.arange(n)]
-        self.scale = scale.reshape(self.k, n * n).astype(np.intp)
-        self.add_flat = G.add.ravel().astype(np.intp)
+        # maps[a][code*n + x] is the additive map with e_0 -> g_a and e_p -> img_p
+        # at x, where code packs img_1..img_r in base n
+        n, r = G.n, self.r
+        if r * n ** (r + 1) > self._MAP_ENTRIES:
+            raise FinringError(
+                f"the map table of {G.factors} needs {r * n ** (r + 1)} entries, over {self._MAP_ENTRIES}"
+            )
+        images = np.empty((n**r, G.k), dtype=np.int64)
+        images[:, 1:] = np.arange(n**r)[:, None] // n ** np.arange(r) % n
+        maps = np.empty((r, n**r, n), dtype=np.int16)
+        for a in range(r):
+            images[:, 0] = self.basis_elts[a + 1]
+            maps[a] = G.linear(images[:, None, :], np.arange(n))
+        self.maps = maps.reshape(r, n ** (r + 1))
 
-    def _triple_mask(self, assign, a, b, c):
-        """Associativity of (g_a g_b) g_c vs g_a (g_b g_c), batch-vectorized:
-        x g_c = sum_p x_p (e_p g_c) and g_a y = sum_p y_p (g_a e_p)."""
-        n, scale, add = self.G.n, self.scale, self.add_flat
-        xn = assign[:, self.slot_pos[(a, b)]].astype(np.intp) * n
-        yn = assign[:, self.slot_pos[(b, c)]].astype(np.intp) * n
-        # the e_0 = 1 terms are fixed, x_0 g_c and y_0 g_a
-        lhs = scale[0][xn + self.basis_elts[c + 1]]
-        rhs = scale[0][yn + self.basis_elts[a + 1]]
-        # one coordinate column at a time: (batch, k) arrays of both operands
-        # would set the search's peak memory
-        for p in range(1, self.k):
-            lhs = add[lhs * n + scale[p][xn + assign[:, self.slot_pos[(p - 1, c)]]]]
-            rhs = add[rhs * n + scale[p][yn + assign[:, self.slot_pos[(a, p - 1)]]]]
+        # the lookup index of each side of each triple as coefficients on the
+        # slots: R_c at slot(a, b) in maps[c], then L_a at slot(b, c) in maps[a]
+        self.forms = {}
+        for a, b, c in (t for checks in self.checks for t in checks):
+            form = np.zeros((2, len(self.schedule)), dtype=np.int64)
+            form[0, self.slot_pos[a, b]] += 1
+            form[1, self.slot_pos[b, c]] += 1
+            for q in range(r):
+                form[0, self.slot_pos[q, c]] += n ** (q + 1)
+                form[1, self.slot_pos[a, q]] += n ** (q + 1)
+            self.forms[a, b, c] = form
+
+    # map-table cap: (4,2,2,2) needs 3.1 M entries (6 MiB), Z2^5 would need 134 M
+    _MAP_ENTRIES = 1 << 22
+
+    def _triple_mask(self, assign, cand, pi, ci, a, b, c):
+        """Whether (g_a g_b) g_c = g_a (g_b g_c) on the assignments assign[pi]
+        followed by cand[ci]; pi and ci broadcast.  Each side's lookup index is
+        a parent's share plus the new slot's, each computed once."""
+        w = assign.shape[1]
+        form = self.forms[a, b, c]
+        head = form[:, :w] @ assign.T
+        tail = form[:, w, None] * cand
+        lhs = self.maps[c].take(head[0].take(pi) + tail[0].take(ci))
+        rhs = self.maps[a].take(head[1].take(pi) + tail[1].take(ci))
         return lhs == rhs
 
-    # expansion cap: between associativity checks the batch multiplies by the
-    # candidate count, so oversized batches are split before expanding.  A
-    # process running the order-16 enumeration peaks near 58 MiB at 1 << 18
-    # rows and near 48 MiB at 1 << 17, at the same speed.
+    # grid cap: a batch whose (parent, candidate) grid exceeds it is split.  A
+    # process running the order-16 enumeration peaks near 38 MiB at 1 << 17
+    # grid entries and near 42 MiB at 1 << 18, at about the same speed; the
+    # survivor search slows below 1 << 16.
     _BATCH_LIMIT = 1 << 17
 
     def survivors(self) -> np.ndarray:
@@ -144,19 +170,16 @@ class _GroupSearch:
                 stack.append((pos, assign[:half]))
                 stack.append((pos, assign[half:]))
                 continue
-            assign = np.concatenate(
-                [
-                    np.repeat(assign, len(cand), axis=0),
-                    np.tile(cand, B)[:, None].astype(np.int16),
-                ],
-                axis=1,
-            )
-            for (a, b, c) in self.checks[pos]:
-                if not len(assign):
+            # (parent, candidate) index pairs, the full grid until a check filters it
+            pi, ci = np.arange(B)[:, None], np.arange(len(cand))
+            for a, b, c in self.checks[pos]:
+                ok = self._triple_mask(assign, cand, pi, ci, a, b, c)
+                pi, ci = (np.broadcast_to(v, ok.shape)[ok] for v in (pi, ci))
+                if not len(pi):
                     break
-                assign = assign[self._triple_mask(assign, a, b, c)]
-            if len(assign):
-                stack.append((pos + 1, assign))
+            pi, ci = (v.ravel() for v in np.broadcast_arrays(pi, ci))
+            if len(pi):
+                stack.append((pos + 1, np.concatenate([assign[pi], cand[ci, None]], axis=1)))
         if not done:
             return np.zeros((0, nslots), dtype=np.int16)
         return np.vstack(done)

@@ -32,7 +32,7 @@ from .construct import (
 from .errors import ExpressionError, TableStructureError
 from .lexer import Tokens
 from .presentation import build_from_text
-from .table import RingTable, direct_sum, opposite
+from .table import MAX_ORDER, RingTable, direct_sum, opposite
 
 class _Parser(Tokens):
     def __init__(self, text: str):
@@ -85,7 +85,16 @@ class _Parser(Tokens):
             if g.val == "Q8":
                 G = quaternion_group()
             elif g.val.startswith("C") and g.val[1:].isdigit() and int(g.val[1:]) >= 1:
-                G = cyclic_group(int(g.val[1:]))
+                n = int(g.val[1:])
+                # free on n basis elements, so at least 2^n elements over a
+                # nonzero base; the bound holds over the zero ring too, so the
+                # group table is never built past it
+                if max(base.order, 2) ** min(n, MAX_ORDER) > MAX_ORDER:
+                    raise TableStructureError(
+                        f"GA over C{n} at position {g.pos} exceeds cap {MAX_ORDER}: "
+                        f"{n} basis elements over a ring of order {base.order}"
+                    )
+                G = cyclic_group(n)
             else:
                 raise ExpressionError(
                     f"unknown group {g.val!r} at position {g.pos}; use Q8 or Cn"

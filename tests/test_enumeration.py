@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,10 +290,63 @@ def test_triple_mask_equals_the_three_gather_check(factors):
     assign = np.stack([rng.choice(c, 4000) for c in search.omega], axis=1)
     triples = [t for checks in search.checks for t in checks]
     assert len(triples) == search.r**3
+    rows = np.arange(len(assign))
     for a, b, c in triples:
-        mask = search._triple_mask(assign, a, b, c)
+        mask = search._triple_mask(assign[:, :-1], assign[:, -1], rows, rows, a, b, c)
         assert np.array_equal(mask, three_gather_mask(search, assign, a, b, c)), (a, b, c)
         assert 0 < mask.sum() < len(mask)
+
+
+@pytest.mark.parametrize("factors", [(2, 2), (2, 2, 2, 2), (4, 2, 2, 2), (3, 3, 3), (9, 3)], ids=str)
+def test_each_map_table_entry_is_its_additive_map(factors):
+    # maps[a][code*n + x] = x_0 g_a + sum_p x_p img_p, img_p digit p-1 of code in base n
+    search = _GroupSearch(factors)
+    G, n, r = search.G, search.G.n, search.r
+    assert search.maps.shape == (r, n ** (r + 1))
+    rng = np.random.default_rng(5)
+    for a in range(r):
+        for code, x in zip(rng.integers(0, n**r, 300), rng.integers(0, n, 300)):
+            images = [search.basis_elts[a + 1]] + [int(code) // n**q % n for q in range(r)]
+            want = 0
+            for p, img in enumerate(images):
+                want = G.add[want, G.smul[G.dec[x, p], img]]
+            assert search.maps[a][code * n + x] == want, (a, code, x)
+
+
+def test_an_oversized_map_table_is_refused_before_it_is_built():
+    # Z2^5 would need 4 * 32^5 = 134 M entries
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(FinringError, match="map table"):
+            _GroupSearch((2, 2, 2, 2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 2), (3, 3, 3)], ids=str)
+def test_seeded_searches_find_the_same_survivors(factors):
+    # a seed permutes each slot's candidates, and with them the grid order
+    ref = np.unique(_GroupSearch(factors).survivors(), axis=0)
+    for seed in (1, 2, 3):
+        got = np.unique(_GroupSearch(factors, seed=seed).survivors(), axis=0)
+        assert np.array_equal(got, ref), seed
+
+
+def survivor_digest(rows):
+    h = hashlib.sha256(repr(rows.shape).encode())
+    h.update(np.ascontiguousarray(rows, dtype="<i2").tobytes())
+    return h.hexdigest()
+
+
+def test_order_32_group_4222_survivors_are_pinned():
+    # computed with the per-coordinate check that the map table replaced
+    rows = np.unique(_GroupSearch((4, 2, 2, 2)).survivors(), axis=0)
+    assert rows.shape == (16192, 9)
+    assert survivor_digest(rows) == "b2704c9620ab8996f2f7f8b64c058b151bb5f99dd283caf88ce891aefe86765a"
 
 
 # sha256 over the shape and int16 bytes of each group's sorted survivors,
@@ -312,9 +367,7 @@ def test_survivors_match_the_frozen_digests(searches):
     got = {}
     for order, factors, _, rows, _ in searches:
         if order in (16, 27):
-            h = hashlib.sha256(repr(rows.shape).encode())
-            h.update(np.ascontiguousarray(rows, dtype="<i2").tobytes())
-            got[factors] = h.hexdigest()
+            got[factors] = survivor_digest(rows)
     assert got == SURVIVOR_SHA256
 
 

@@ -1,9 +1,16 @@
 """Table file format, expression grammar, and command-line entry points."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from finring.cli import main
-from finring.errors import AxiomViolationError, ExpressionError, RingFormatError
+from finring.construct import GroupTable
+from finring.errors import AxiomViolationError, ExpressionError, RingFormatError, TableStructureError
 from finring.expr import parse_ring_expr
 from finring.ringio import dumps_ring, export_ring, import_ring, loads_ring
 
@@ -186,6 +193,43 @@ def test_expression_orders(expr, order):
 def test_expression_errors_carry_position(expr, fragment):
     with pytest.raises(ExpressionError, match=fragment):
         parse_ring_expr(expr)
+
+
+# GA(e,Cn) has |e|^n elements, and the n x n group table is built first: each
+# call must be refused before either grows, whatever the base
+OVERSIZED_GROUP_ALGEBRA = """
+import resource
+from finring.errors import TableStructureError
+from finring.expr import parse_ring_expr
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for text in ("GA(GF(2),C200)", "GA(GF(2),C11)", "GA(Zn(1),C100000)", "GA(Zn(1),C11)"):
+    try:
+        parse_ring_expr(text)
+    except TableStructureError:
+        pass
+    else:
+        raise SystemExit(text + " was built")
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)
+"""
+
+
+def test_an_oversized_group_algebra_is_refused_before_its_group_is_built():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", OVERSIZED_GROUP_ALGEBRA],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert int(proc.stdout) < 8  # MiB of peak RSS growth
+    assert parse_ring_expr("GA(Zn(1),C10)").order == 1
+
+
+def test_group_validation_finds_a_non_associative_operation():
+    # 0 is an identity and every row holds it, but (1*1)*2 = 2 while 1*(1*2) = 1
+    op = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+    with pytest.raises(TableStructureError, match="not associative"):
+        GroupTable("bad", 3, ("e", "a", "b"), op, 0).validate()
 
 
 # -- command line ---------------------------------------------------------------
