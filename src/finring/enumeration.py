@@ -112,12 +112,15 @@ class _GroupSearch:
             raise FinringError(
                 f"the map table of {G.factors} needs {r * n ** (r + 1)} entries, over {self._MAP_ENTRIES}"
             )
-        images = np.empty((n**r, G.k), dtype=np.int64)
+        images = np.zeros((n**r, G.k), dtype=np.int64)
         images[:, 1:] = np.arange(n**r)[:, None] // n ** np.arange(r) % n
+        # only the e_0 term, x_0 g_a, differs between the rows: the sum over
+        # img_1..img_r is built once and x_0 g_a added with one gather per row
+        rest = G.linear(images[:, None, :], np.arange(n)).astype(np.int16)
+        add = G.add.astype(np.int16)
         maps = np.empty((r, n**r, n), dtype=np.int16)
         for a in range(r):
-            images[:, 0] = self.basis_elts[a + 1]
-            maps[a] = G.linear(images[:, None, :], np.arange(n))
+            maps[a] = add[rest, G.smul[G.dec[:, 0], self.basis_elts[a + 1]]]
         self.maps = maps.reshape(r, n ** (r + 1))
 
         # the lookup index of each side of each triple as coefficients on the
@@ -267,13 +270,30 @@ class _GroupSearch:
         radix = n ** np.arange(nslots - 1, -1, -1, dtype=np.int64)
         return np.asarray(rows, dtype=np.int64) @ radix
 
-    def transport(self, rows, h) -> np.ndarray:
+    def _bilinear_transport(self, rows, h) -> np.ndarray:
         """The assignments h carries the given ones to: the ring with basis
         products h(h^-1(e_i) h^-1(e_j)), to which h is an isomorphism."""
         u = np.argsort(h)[self.basis_elts]
         prod = h[self.G.bilinear(self.constants(rows)[:, None, None], u[:, None], u[None, :])]
         i, j = np.array(self.schedule, dtype=np.int64).reshape(-1, 2).T
         return prod[:, i + 1, j + 1]
+
+    def transport(self, rows, h) -> np.ndarray:
+        """_bilinear_transport by lookup.  h is additive and the product is
+        bilinear in the basis products, so image slot t is
+        c_t + sum_s phi_{s,t}(x_s).  c is the image of the zero assignment and
+        c_t + phi_{s,t}(v) that of the assignment with x_s = v alone."""
+        G, n, nslots = self.G, self.G.n, len(self.schedule)
+        probes = np.zeros((1 + nslots * n, nslots), dtype=np.int64)
+        probes[1 + np.arange(nslots * n), np.repeat(np.arange(nslots), n)] = np.tile(np.arange(n), nslots)
+        img = self._bilinear_transport(probes, h)
+        c = img[0]
+        phi = G.encode(G.dec[img[1:]] - G.dec[c]).reshape(nslots, n, nslots)
+        add = G.add.ravel()
+        out = np.repeat(c[None, :], len(rows), axis=0)
+        for s in range(nslots):
+            out = add.take(out * n + phi[s].take(rows[:, s], axis=0))
+        return out
 
     def orbits(self, rows) -> np.ndarray:
         """For sorted, distinct survivors, the index of the least row in each

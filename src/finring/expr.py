@@ -84,8 +84,11 @@ class _Parser(Tokens):
             g = self.take("name")
             if g.val == "Q8":
                 G = quaternion_group()
-            elif g.val.startswith("C") and g.val[1:].isdigit() and int(g.val[1:]) >= 1:
-                n = int(g.val[1:])
+            elif (
+                g.val.startswith("C")
+                and g.val[1:].isdigit()
+                and (n := self.integer(g.val[1:], g.pos + 1)) >= 1
+            ):
                 # free on n basis elements, so at least 2^n elements over a
                 # nonzero base; the bound holds over the zero ring too, so the
                 # group table is never built past it

@@ -32,13 +32,21 @@ class Tokens:
                 raise error(f"unexpected character {text[i]!r} at position {i}")
             kind, val = m.lastgroup, m.group()
             if kind == "int":
-                val = int(val)
+                val = self.integer(val, i)
             elif kind == "punct":
                 kind = val
             self.toks.append(Tok(kind, val, i))
             i = _BLANK.match(text, m.end()).end()
         self.toks.append(Tok("end", None, len(text)))
         self.i = 0
+
+    def integer(self, digits: str, pos: int) -> int:
+        """int(digits), or the grammar's error past Python's limit on the
+        digits of one int (4,300 by default)."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(f"integer of {len(digits)} digits at position {pos}") from None
 
     def peek(self) -> Tok:
         return self.toks[self.i]

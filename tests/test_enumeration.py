@@ -234,6 +234,12 @@ def test_each_generator_carries_tables_onto_tables(searches):
                 assert np.array_equal(U.mul[grid], h[T.mul]), factors
 
 
+def test_lookup_transport_equals_the_bilinear_transport(searches):
+    for _, factors, search, rows, _ in searches:
+        for h in search.generators(search.stabiliser()):
+            assert np.array_equal(search.transport(rows, h), search._bilinear_transport(rows, h)), factors
+
+
 def test_an_image_outside_the_survivors_is_an_internal_error():
     search = _GroupSearch((2, 2, 2))
     rows = np.unique(search.survivors(), axis=0)

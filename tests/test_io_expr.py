@@ -10,7 +10,13 @@ import pytest
 
 from finring.cli import main
 from finring.construct import GroupTable
-from finring.errors import AxiomViolationError, ExpressionError, RingFormatError, TableStructureError
+from finring.errors import (
+    AxiomViolationError,
+    ExpressionError,
+    PresentationError,
+    RingFormatError,
+    TableStructureError,
+)
 from finring.expr import parse_ring_expr
 from finring.ringio import dumps_ring, export_ring, import_ring, loads_ring
 
@@ -277,3 +283,20 @@ def test_cli_decompose(capsys):
 def test_cli_bad_input_exits_2(capsys):
     assert main(["build", "Zn(0)"]) == 2
     assert "positive modulus" in capsys.readouterr().err
+
+
+# 5,000 digits is past Python's default limit of 4,300 digits for int()
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("text,pos", [
+    (f"Zn({LONG})", 3),
+    (f"GA(GF(2),C{LONG})", 10),
+    (f"F2<u>/(u^{LONG})", 9),
+    (f"Z4<u>/({LONG}u)", 7),
+], ids=["Zn", "GA", "power", "coefficient"])
+def test_an_integer_past_the_digit_limit_is_a_grammar_error(text, pos, capsys):
+    with pytest.raises((ExpressionError, PresentationError), match=f"integer of 5000 digits at position {pos}$"):
+        parse_ring_expr(text)
+    assert main(["build", text]) == 2
+    assert "integer of 5000 digits" in capsys.readouterr().err

@@ -5,11 +5,13 @@ import pytest
 
 from finring.construct import cyclic, galois, matrix_ring, upper_triangular
 from finring.corpus import corpus
-from finring.enumeration import enumerate_unital
+from finring.enumeration import DEEP_ORDERS, SUPPORTED_ORDERS, enumerate_unital
 from finring.expr import parse_ring_expr
 from finring.presentation import build_from_text
 from finring.properties import (
     PropertyProfile,
+    _high_powers,
+    _radical_plus,
     _zero_row_products,
     is_duo,
     is_ps_i,
@@ -23,7 +25,14 @@ from finring.properties import (
     semicommutative_witness,
     upper_nilradical,
 )
-from finring.table import direct_sum, opposite, projection_map, quotient, right_annihilator
+from finring.table import (
+    ElementSet,
+    direct_sum,
+    opposite,
+    projection_map,
+    quotient,
+    right_annihilator,
+)
 
 
 # -- brute-force reference scans ----------------------------------------------
@@ -271,16 +280,62 @@ def test_ps_i_agrees_with_one_quotient_per_element(rings_to_128):
         assert is_ps_i(R) is want, name
 
 
+# -- PS I without quotient rings ----------------------------------------------
+# is_ps_i decides each R / I on R itself, from J(R) + I and {x : x^N in I};
+# the definition builds every quotient and computes its own radicals.
+
+
+def quotient_ps_i(R):
+    """PS I by its definition: R / I is 2-primal for each distinct row I = r-ann(aR)."""
+    return all(
+        is_two_primal(quotient(R, ElementSet.from_iterable(R, np.flatnonzero(row))))
+        for row in np.unique(_zero_row_products(R), axis=0)
+    )
+
+
 @pytest.mark.parametrize("text", [
     "GA(GF(2),Q8)",
     "F2<u,v>/(u^3,v^3,u^2+v^2+vu,vu^2+uvu+vuv,u^2vu)",
     "F2<u,v>/(u^3,v^3,u^2+v^2+vu,vu^2+uvu+vuv)",
 ], ids=["F2Q8", "Rev256", "R512"])
 def test_ps_i_is_evaluated_on_rings_of_order_256_and_512(text):
-    p = profile(parse_ring_expr(text))
+    R = parse_ring_expr(text)
+    p = profile(R)
     assert p.order in (256, 512)
     assert p.ps_i is p.ni
+    assert p.ps_i is quotient_ps_i(R)
     assert f"ps_i={str(p.ni).lower()}" in p.as_kv()
+
+
+@pytest.fixture(scope="module")
+def enumerated_rings():
+    """Every enumerated ring of orders 2 to 27, and its opposite."""
+    out = []
+    for order in SUPPORTED_ORDERS + DEEP_ORDERS:
+        for i, R in enumerate(enumerate_unital(order, deep=True)):
+            out += [(f"order{order}[{i}]", R), (f"op(order{order}[{i}])", opposite(R))]
+    return out
+
+
+def test_ps_i_equals_one_quotient_per_distinct_row(enumerated_rings, rings_to_128):
+    seen = set()
+    for name, R in enumerated_rings + rings_to_128:
+        got = is_ps_i(R)
+        assert got is quotient_ps_i(R), name
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_quotient_radicals_are_the_images_of_the_sets_ps_i_reads(enumerated_rings, rings_to_128):
+    # both sets are unions of cosets of I, so each is the preimage of its image
+    rings = rings_to_128 + [(name, R) for name, R in enumerated_rings if R.order == 16]
+    for name, R in rings:
+        powers = _high_powers(R)
+        for row in np.unique(_zero_row_products(R), axis=0):
+            ideal = ElementSet.from_iterable(R, np.flatnonzero(row))
+            Q, p = quotient(R, ideal), projection_map(R, ideal)
+            assert np.array_equal(_radical_plus(R, row), jacobson_radical(Q).mask[p]), name
+            assert np.array_equal(row[powers], nilpotent_set(Q).mask[p]), name
 
 
 def brute_semicommutative_witness(R):
