@@ -1,9 +1,12 @@
 """Radicals and taxonomy predicates.
 
-Every predicate is an exhaustive scan over the operation tables with early
-exit; the *_witness functions return the first violating tuple or None, and
-the is_* wrappers just test for None.  Radical computations are memoised on
-the ring instance.
+Every predicate is decided exactly on the operation tables; the *_witness
+functions return the lexicographically first violating tuple or None, and
+the is_* wrappers just test for None.  The predicates on zero products
+(symmetric, semicommutative, reflexive, PS I) read the zero set of each
+element as a bitset row, so each costs O(n^2 * n/64) word operations instead
+of an O(n^3) gather.  Radicals, bitsets and other derived tables are
+memoised on the ring instance.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from .errors import InternalCheckError
 from .table import (
     ElementSet,
     RingTable,
-    _first_triple,
     _row_blocks,
     additive_type,
     ideal_generated,
@@ -150,12 +152,36 @@ def reduced_witness(R: RingTable):
     return (int(hits[0]),) if len(hits) else None
 
 
+def _zero_bits(R: RingTable) -> np.ndarray:
+    """Z[x] is the bitset {c : x*c = 0}: bit c of the row is bit c % 64 of
+    word c // 64, in ceil(n/64) uint64 words, with the padding bits zero."""
+
+    def build():
+        n = R.order
+        packed = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
+        packed[:, : -(-n // 8)] = np.packbits(R.mul == R.zero, axis=1, bitorder="little")
+        Z = packed.view("<u8")
+        Z.setflags(write=False)
+        return Z
+
+    return R.cached("zero_bits", build)
+
+
 def symmetric_witness(R: RingTable):
-    """(a, b, c) with abc = 0 but bac != 0."""
-    mul, z = R.mul, R.zero
-    return _first_triple(
-        R.order, lambda a0, a1: (mul[mul[a0:a1], :] == z) & (mul[mul.T[a0:a1], :] != z)
-    )
+    """(a, b, c) with abc = 0 but bac != 0, the least in lexicographic order.
+
+    (a, b) is flagged when Z[ab] & ~Z[ba] is nonzero; the padding bits are
+    zero in Z[ab], so they never flag.
+    """
+    n, mul, Z = R.order, R.mul, _zero_bits(R)
+    for a0, a1 in _row_blocks(n, n * n):
+        diff = Z[mul[a0:a1]] & ~Z[mul.T[a0:a1]]  # [a, b, word]
+        hit = diff.any(axis=2)
+        if hit.any():
+            a, b = np.argwhere(hit)[0]
+            bits = np.unpackbits(diff[a, b].view(np.uint8), bitorder="little")
+            return (int(a) + a0, int(b), int(bits.argmax()))
+    return None
 
 
 def reversible_witness(R: RingTable):
@@ -168,15 +194,27 @@ def reversible_witness(R: RingTable):
     return None
 
 
-def _zero_row_products(R: RingTable) -> np.ndarray:
-    """Q[a, b] true iff a*r*b = 0 for every r: row a is r-ann(aR)."""
+def _zero_row_bits(R: RingTable) -> np.ndarray:
+    """Row a is the bitset r-ann(aR): the AND of Z[a*r] over every r."""
 
     def build():
-        n, mul, z = R.order, R.mul, R.zero
-        Q = np.empty((n, n), dtype=bool)
+        n, mul, Z = R.order, R.mul, _zero_bits(R)
+        out = np.empty_like(Z)
         for a0, a1 in _row_blocks(n, n * n):
-            arb = mul[mul[a0:a1], :]  # [a, r, b]
-            Q[a0:a1] = (arb == z).all(axis=1)
+            np.bitwise_and.reduce(Z[mul[a0:a1]], axis=1, out=out[a0:a1])
+        out.setflags(write=False)
+        return out
+
+    return R.cached("zero_row_bits", build)
+
+
+def _zero_row_products(R: RingTable) -> np.ndarray:
+    """Q[a, b] true iff a*r*b = 0 for every r: row a is r-ann(aR), unpacked
+    from _zero_row_bits."""
+
+    def build():
+        bits = _zero_row_bits(R).view(np.uint8)
+        Q = np.unpackbits(bits, axis=1, count=R.order, bitorder="little").view(bool)
         Q.setflags(write=False)
         return Q
 
@@ -344,17 +382,26 @@ def _radical_plus(R: RingTable, ideal: np.ndarray) -> np.ndarray:
     return out
 
 
+def _distinct_zero_rows(R: RingTable) -> np.ndarray:
+    """One a for each distinct row of _zero_row_bits, each row compared as
+    one opaque run of bytes."""
+    bits = _zero_row_bits(R)
+    rows = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
+    return np.unique(rows, return_index=True)[1]
+
+
 def is_ps_i(R: RingTable) -> bool:
     """For every a, R / r-ann(aR) must be 2-primal.
 
     r-ann(aR) is row a of _zero_row_products, so each distinct row I is one
-    test, with no quotient ring built.  Two facts about finite rings decide
-    it on R: the prime radical equals the Jacobson radical, and
-    J(R/I) = (J(R) + I)/I, as finite rings are semilocal.  So R/I is 2-primal
-    iff every x with x^N in I lies in J(R) + I.
+    test, with no quotient ring built; _distinct_zero_rows finds the distinct
+    rows on the packed bitsets, 8 bytes per 64 elements.  Two facts about
+    finite rings decide it on R: the prime radical equals the Jacobson
+    radical, and J(R/I) = (J(R) + I)/I, as finite rings are semilocal.  So
+    R/I is 2-primal iff every x with x^N in I lies in J(R) + I.
     """
     powers = _high_powers(R)
-    for row in np.unique(_zero_row_products(R), axis=0):
+    for row in _zero_row_products(R)[_distinct_zero_rows(R)]:
         if not _radical_plus(R, row)[row[powers]].all():
             return False
     return True

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finring.construct import cyclic, galois, matrix_ring, upper_triangular
 from finring.corpus import corpus
@@ -10,23 +11,34 @@ from finring.expr import parse_ring_expr
 from finring.presentation import build_from_text
 from finring.properties import (
     PropertyProfile,
+    _distinct_zero_rows,
     _high_powers,
     _radical_plus,
+    _zero_bits,
+    _zero_row_bits,
     _zero_row_products,
     is_duo,
     is_ps_i,
+    is_reflexive,
+    is_semicommutative,
+    is_symmetric,
     is_two_primal,
     jacobson_radical,
     left_duo_witness,
     lower_nilradical,
     nilpotent_set,
     profile,
+    reflexive_witness,
     right_duo_witness,
     semicommutative_witness,
+    symmetric_witness,
     upper_nilradical,
 )
 from finring.table import (
     ElementSet,
+    RingTable,
+    _first_triple,
+    _row_blocks,
     direct_sum,
     opposite,
     projection_map,
@@ -293,11 +305,11 @@ def quotient_ps_i(R):
     )
 
 
-@pytest.mark.parametrize("text", [
-    "GA(GF(2),Q8)",
-    "F2<u,v>/(u^3,v^3,u^2+v^2+vu,vu^2+uvu+vuv,u^2vu)",
-    "F2<u,v>/(u^3,v^3,u^2+v^2+vu,vu^2+uvu+vuv)",
-], ids=["F2Q8", "Rev256", "R512"])
+REV256 = "F2<u,v>/(u^3,v^3,u^2+v^2+vu,vu^2+uvu+vuv,u^2vu)"
+R512 = "F2<u,v>/(u^3,v^3,u^2+v^2+vu,vu^2+uvu+vuv)"
+
+
+@pytest.mark.parametrize("text", ["GA(GF(2),Q8)", REV256, R512], ids=["F2Q8", "Rev256", "R512"])
 def test_ps_i_is_evaluated_on_rings_of_order_256_and_512(text):
     R = parse_ring_expr(text)
     p = profile(R)
@@ -358,3 +370,141 @@ def test_semicommutative_witness_is_the_lexicographic_first(rings_to_128):
             assert semicommutative_witness(S) == want, name
             failing += want is not None
     assert failing >= 20
+
+
+# -- bitset scans against the O(n^3) gathers -----------------------------------
+# symmetric_witness and _zero_row_products read the zero sets as packed
+# bitsets; these are the full gathers they replaced.
+
+
+def gather_symmetric_witness(R):
+    """The first (a, b, c) of the chunked [a, b, c] scan of abc = 0 and bac != 0."""
+    mul, z = R.mul, R.zero
+    return _first_triple(
+        R.order, lambda a0, a1: (mul[mul[a0:a1], :] == z) & (mul[mul.T[a0:a1], :] != z)
+    )
+
+
+def gather_zero_row_products(R):
+    """Q[a, b] = all over r of a*r*b == 0, from the [a, r, b] gather."""
+    n, mul, z = R.order, R.mul, R.zero
+    Q = np.empty((n, n), dtype=bool)
+    for a0, a1 in _row_blocks(n, n * n):
+        Q[a0:a1] = (mul[mul[a0:a1], :] == z).all(axis=1)
+    return Q
+
+
+def assert_scans_match_the_gathers(name, R):
+    Q = gather_zero_row_products(R)
+    assert np.array_equal(_zero_row_products(R), Q), name
+    assert symmetric_witness(R) == gather_symmetric_witness(R), name
+    # no padding bit is ever set, so none can flag a violation
+    n = R.order
+    for bits in (_zero_bits(R), _zero_row_bits(R)):
+        assert bits.shape == (n, -(-n // 64)) and bits.dtype == np.uint64, name
+        unpacked = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little")
+        assert not unpacked[:, n:].any(), name
+    first = _distinct_zero_rows(R)
+    assert len(first) == len(np.unique(Q, axis=0)), name
+    assert np.array_equal(np.unique(Q[first], axis=0), np.unique(Q, axis=0)), name
+
+
+def test_bitset_scans_equal_the_gathers_on_the_catalog():
+    catalog = [(e.name, e.build()) for e in corpus()]
+    assert max(R.order for _, R in catalog) == 256
+    for name, R in catalog:
+        for S in (R, opposite(R)):
+            assert_scans_match_the_gathers(name, S)
+
+
+def test_bitset_scans_equal_the_gathers_on_every_enumerated_ring(enumerated_rings):
+    for name, R in enumerated_rings:
+        assert_scans_match_the_gathers(name, R)
+
+
+@pytest.mark.parametrize("text", [REV256, R512], ids=["Rev256", "R512"])
+def test_bitset_scans_equal_the_gathers_at_orders_256_and_512(text):
+    R = parse_ring_expr(text)
+    assert_scans_match_the_gathers(text, R)
+    assert symmetric_witness(R) is not None
+
+
+def brute_symmetric_witness(R):
+    """The lexicographically first (a, b, c) with abc = 0 and bac != 0."""
+    mul, n, zero = R.mul.tolist(), R.order, R.zero
+    for a in range(n):
+        for b in range(n):
+            ab, ba = mul[a][b], mul[b][a]
+            for c in range(n):
+                if mul[ab][c] == zero and mul[ba][c] != zero:
+                    return (a, b, c)
+    return None
+
+
+def test_symmetric_witness_is_the_lexicographic_first(rings_to_128):
+    failing = 0
+    for name, R in rings_to_128:
+        for S in (R, opposite(R)):
+            want = brute_symmetric_witness(S)
+            assert symmetric_witness(S) == want, name
+            failing += want is not None
+    assert failing >= 20
+
+
+def brute_reflexive_witness(R):
+    """The lexicographically first (a, b) with aRb = 0 and some bra != 0, with its least r."""
+    mul, n, zero = R.mul.tolist(), R.order, R.zero
+    for a in range(n):
+        for b in range(n):
+            if all(mul[mul[a][r]][b] == zero for r in range(n)):
+                for r in range(n):
+                    if mul[mul[b][r]][a] != zero:
+                        return (a, b, r)
+    return None
+
+
+@pytest.mark.parametrize("name,make", [
+    ("Z1", lambda: cyclic(1)),
+    ("Z65", lambda: cyclic(65)),
+    ("M2F2+Z5", lambda: direct_sum(matrix_ring(galois(2), 2), cyclic(5))),
+    ("op(M2F2+Z5)", lambda: opposite(direct_sum(matrix_ring(galois(2), 2), cyclic(5)))),
+])
+def test_bitset_scans_on_orders_with_padding(name, make):
+    R = make()
+    assert_scans_match_the_gathers(name, R)
+    ref = brute_profile(R)
+    p = profile(R)
+    for key in ("symmetric", "semicommutative", "reflexive"):
+        assert getattr(p, key) == ref[key], (name, key)
+    assert p.ps_i is quotient_ps_i(R), name
+
+
+# -- invariance under relabeling ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def rings_to_64(small_rings, enumerated_rings):
+    return small_rings + enumerated_rings
+
+
+def relabeled(R, pi):
+    """R with element x renamed pi[x]."""
+    sigma = np.argsort(pi)
+    return RingTable(
+        R.order, [R.labels[s] for s in sigma],
+        pi[R.add[np.ix_(sigma, sigma)]], pi[R.mul[np.ix_(sigma, sigma)]],
+        int(pi[R.zero]), int(pi[R.one]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zero_product_predicates_survive_relabeling(rings_to_64, data):
+    name, R = data.draw(st.sampled_from(rings_to_64), label="ring")
+    pi = np.array(data.draw(st.permutations(range(R.order)), label="permutation"))
+    S = relabeled(R, pi)
+    for pred in (is_symmetric, is_semicommutative, is_reflexive, is_ps_i):
+        assert pred(S) is pred(R), (name, pred.__name__)
+    assert_scans_match_the_gathers(name, S)
+    assert semicommutative_witness(S) == brute_semicommutative_witness(S), name
+    assert reflexive_witness(S) == brute_reflexive_witness(S), name
