@@ -98,50 +98,55 @@ def _spanning_trace(R: RingTable):
     of the generators' class sizes bounds its leaves.
     """
     classes = _class_ids(R)
-
-    trace = [R.zero, R.one] if R.one != R.zero else [R.zero]
-    pos = set(trace)
+    n = R.order
+    trace = np.empty(n, dtype=np.intp)
+    inside = np.zeros(n, dtype=bool)
+    size = 0
     gens = []
     segments = []
 
-    def close(seg, start):
-        # pairs of elements before start are already closed
-        tables = (R.add, R.mul)
-        k = start
-        while k < len(trace):
-            x = trace[k]
-            for j in range(k + 1):
-                y = trace[j]
-                for kind in (0, 1):
-                    t = tables[kind]
-                    for a, b, i2, j2 in ((x, y, k, j), (y, x, j, k)):
-                        v = int(t[a, b])
-                        if v not in pos:
-                            pos.add(v)
-                            seg.append((kind, i2, j2))
-                            trace.append(v)
-            k += 1
+    def push(vals):
+        nonlocal size
+        trace[size : size + len(vals)] = vals
+        inside[vals] = True
+        size += len(vals)
 
-    def rank(members, inside):
+    def close(start):
+        # pairs of elements before start are already closed.  Position k
+        # offers x+y, y+x, x*y, y*x for each y = trace[j], j <= k, in that
+        # order; the first offer of each new value joins the trace.
+        seg = []
+        k = start
+        while k < size and size < n:
+            x, ys = trace[k], trace[: k + 1]
+            offers = np.stack(
+                (R.add[x, ys], R.add[ys, x], R.mul[x, ys], R.mul[ys, x]), axis=1
+            ).ravel()
+            at = np.flatnonzero(~inside[offers])
+            if at.size:
+                at = at[np.sort(np.unique(offers[at], return_index=True)[1])]
+                push(offers[at])
+                for p in at.tolist():
+                    j, r = divmod(p, 4)
+                    kind, swapped = divmod(r, 2)
+                    seg.append((kind, j, k) if swapped else (kind, k, j))
+            k += 1
+        return seg
+
+    def rank(members):
         x = next(x for x in members if not inside[x])
         grown = inside.copy()
         grown[x] = True
         return -int(_closure(grown, R.add, R.mul).sum()), len(members), x
 
-    seg0 = []
-    close(seg0, 0)
-    segments.append(seg0)
-    while len(trace) < R.order:
-        inside = np.zeros(R.order, dtype=bool)
-        inside[trace] = True
-        g = min(rank(m, inside) for m in classes.values() if not inside[m].all())[2]
+    push([R.zero, R.one] if R.one != R.zero else [R.zero])
+    segments.append(close(0))
+    while size < n:
+        g = min(rank(m) for m in classes.values() if not inside[m].all())[2]
         gens.append(g)
-        pos.add(g)
-        trace.append(g)
-        seg = []
-        close(seg, len(trace) - 1)
-        segments.append(seg)
-    return gens, segments, trace
+        push([g])
+        segments.append(close(size - 1))
+    return gens, segments, trace.tolist()
 
 
 @dataclass

@@ -19,6 +19,7 @@ from .errors import InternalCheckError
 from .table import (
     ElementSet,
     RingTable,
+    _additive_generators,
     _row_blocks,
     additive_type,
     ideal_generated,
@@ -43,7 +44,11 @@ def _closure(mask: np.ndarray, *tables) -> np.ndarray:
 def _nilpotency_index(R: RingTable) -> np.ndarray:
     """Per element: least k with x^k = 0, or 0 when x is not nilpotent.
 
-    The index of a nilpotent element never exceeds the ring order.
+    For n > 1 a nilpotent x of index m has m <= log2 n: in the subring Z[x]
+    that x generates, the ideals Z[x] > xZ[x] > ... > x^m Z[x] = 0 strictly
+    decrease (x is no unit, and x^k = x^(k+1) y would give x^k = x^(k+j) y^j
+    = 0), each of index at least 2.  So n.bit_length() powers suffice, and
+    for the zero ring its single power does.
     """
 
     def build():
@@ -51,7 +56,7 @@ def _nilpotency_index(R: RingTable) -> np.ndarray:
         base = np.arange(n, dtype=np.int16)
         cur = base.copy()
         out = np.zeros(n, dtype=np.int64)
-        for k in range(1, n + 1):
+        for k in range(1, n.bit_length() + 1):
             hit = (cur == R.zero) & (out == 0)
             out[hit] = k
             cur = R.mul[cur, base]
@@ -195,13 +200,20 @@ def reversible_witness(R: RingTable):
 
 
 def _zero_row_bits(R: RingTable) -> np.ndarray:
-    """Row a is the bitset r-ann(aR): the AND of Z[a*r] over every r."""
+    """Row a is the bitset r-ann(aR): the AND of Z[a*g] over g in G and 0.
+
+    R must be a verified ring, and G is its additive generating set from
+    _additive_generators.  r -> a*r*c is additive, so a*r*c = 0 for every r
+    once it holds for every g in G.  Z[a*0] holds every element, so the AND
+    is also right when G is empty (the zero ring).
+    """
 
     def build():
-        n, mul, Z = R.order, R.mul, _zero_bits(R)
+        n, Z = R.order, _zero_bits(R)
+        cols = R.mul[:, [R.zero, *_additive_generators(R)]]
         out = np.empty_like(Z)
-        for a0, a1 in _row_blocks(n, n * n):
-            np.bitwise_and.reduce(Z[mul[a0:a1]], axis=1, out=out[a0:a1])
+        for a0, a1 in _row_blocks(n, n * cols.shape[1]):
+            np.bitwise_and.reduce(Z[cols[a0:a1]], axis=1, out=out[a0:a1])
         out.setflags(write=False)
         return out
 

@@ -80,7 +80,7 @@ def _table_rows(lines, start, n, what):
 
 def loads_ring(text: str, provenance: str = "") -> RingTable:
     # parsing returns before the check, so the traceback of a rejected table
-    # holds the table but not its split lines
+    # holds neither its split lines nor (see checked) the table
     return checked(_parse(text, provenance))
 
 

@@ -380,8 +380,12 @@ def _laws_hold_on_generators(R: RingTable) -> bool:
       test: the middle elements that associate are closed under +, and G
       together with 0 generates every element);
     - in the resulting abelian group, a map f with f(0) = 0 is additive iff
-      f(x+g) = f(x)+f(g) for every g in G, which gives both distributive laws
-      from the row and column maps of the multiplication;
+      f(x+g) = f(x)+f(g) for every g in G.  For the column maps x -> xc this
+      is right distributivity, checked as (x+g)c = xc+gc per g, next to
+      Light's test;
+    - right distributivity gives f_{a+b} = f_a + f_b for the row maps
+      f_a: x -> ax, so the a whose f_a is additive are closed under + and
+      left distributivity needs checking only for a in G: a(x+g) = ax+ag;
     - (ab)c and a(bc) are then biadditive in (b, c), so they agree everywhere
       once they agree on (a, g, h) for g, h in G.
     """
@@ -389,12 +393,16 @@ def _laws_hold_on_generators(R: RingTable) -> bool:
     if G is None:
         return False
     add, mul = R.add, R.mul
-    return (
-        np.array_equal(add[add[:, G], :], add[:, add[G, :]])
-        and np.array_equal(mul[:, add[:, G]], add[mul[:, :, None], mul[:, None, G]])
-        and np.array_equal(mul[add[:, G], :], add[mul[:, None, :], mul[G][None, :, :]])
-        and np.array_equal(mul[mul[:, G][:, :, None], G], mul[:, mul[np.ix_(G, G)]])
-    )
+    for g in G:
+        if not (
+            np.array_equal(add[add[:, g]], add[:, add[g]])
+            and np.array_equal(mul[add[:, g]], add[mul, mul[g]])
+        ):
+            return False
+    mG = mul[G]
+    return np.array_equal(
+        mG[:, add[:, G]], add[mG[:, :, None], mG[:, G][:, None, :]]
+    ) and np.array_equal(mul[mul[:, G][:, :, None], G], mul[:, mul[np.ix_(G, G)]])
 
 
 def verify_axioms(R: RingTable) -> AxiomReport:
@@ -403,9 +411,11 @@ def verify_axioms(R: RingTable) -> AxiomReport:
     Covers: additive abelian group laws, both associativities, both
     distributive laws, two-sided unity, and zero annihilation.  The
     three-variable laws are checked on an additive generating set G
-    (|G| <= log2 n) in O(n^2 log n); when any law fails, the exhaustive
-    O(n^3) scan runs instead, so the report names every failing law with
-    the same witness whichever path found it.
+    (|G| <= log2 n): additive associativity and right distributivity as
+    2|G| (n, n) comparisons, left distributivity on G x n x G and
+    multiplicative associativity on n x G x G, O(n^2 log n) in all.  When
+    any law fails, the exhaustive O(n^3) scan runs instead, so the report
+    names every failing law with the same witness whichever path found it.
     """
     if not _two_variable_violations(R) and _laws_hold_on_generators(R):
         return AxiomReport(passed=True)
@@ -416,6 +426,9 @@ def checked(R: RingTable) -> RingTable:
     """Run verify_axioms and raise AxiomViolationError on failure."""
     rep = verify_axioms(R)
     if not rep.passed:
+        # the error's traceback keeps this frame for as long as the error is
+        # kept, so the rejected table is dropped first
+        del R
         raise AxiomViolationError(rep)
     return R
 

@@ -14,6 +14,7 @@ from finring.table import (
     _laws_hold_on_generators,
     _scan_axioms,
     _two_variable_violations,
+    opposite,
     verify_axioms,
 )
 
@@ -204,3 +205,37 @@ def test_order_one_ring_has_an_empty_generating_set():
     assert G.dtype == np.intp and G.shape == (0,)
     assert _laws_hold_on_generators(R)
     assert verify_axioms(R).passed
+
+
+def zero_symmetric_near_ring(add):
+    """M0(A): the self-maps of the group A (zero 0) that fix 0, with pointwise
+    + and composition (fg)(x) = f(g(x)) as the product.
+
+    (f+g)h = fh+gh holds, but h(f+g) = hf+hg fails as soon as some h is not
+    additive, so it is a near-ring with exactly one distributive law.
+    """
+    m = len(add)
+    maps = np.array([(0, *images) for images in itertools.product(range(m), repeat=m - 1)])
+    weights = m ** np.arange(m - 2, -1, -1)
+
+    def index(images):
+        return images[..., 1:] @ weights
+
+    ids = np.arange(len(maps))
+    total = index(add[maps[:, None, :], maps[None, :, :]])
+    composed = index(maps[ids[:, None, None], maps[None, :, :]])
+    return RingTable(len(maps), [f"f{i}" for i in ids], total, composed,
+                     index(np.zeros(m, dtype=int)), index(np.arange(m)))
+
+
+@pytest.mark.parametrize("add", [cyclic(3).add, np.bitwise_xor.outer(np.arange(4), np.arange(4))],
+                         ids=["Z3", "Z2xZ2"])
+def test_near_rings_fail_exactly_one_distributive_law(add):
+    R = zero_symmetric_near_ring(add)
+    assert R.order == len(add) ** (len(add) - 1)
+    for S, law in ((R, "left_distributive"), (opposite(R), "right_distributive")):
+        assert not _two_variable_violations(S)
+        assert not _laws_hold_on_generators(S)
+        rep = verify_axioms(S)
+        assert rep == _scan_axioms(S)
+        assert [name for name in rep.law_names() if name in THREE_VARIABLE_LAWS] == [law]

@@ -19,6 +19,7 @@ from finring.errors import (
 )
 from finring.expr import parse_ring_expr
 from finring.ringio import dumps_ring, export_ring, import_ring, loads_ring
+from finring.table import RingTable
 
 
 # -- round trips --------------------------------------------------------------
@@ -153,6 +154,19 @@ def test_rejected_table_traceback_does_not_hold_the_split_lines():
         frame = tb.tb_frame
         if frame.f_globals["__name__"].startswith("finring."):
             assert "lines" not in frame.f_locals, frame.f_code.co_name
+        tb = tb.tb_next
+
+
+def test_rejected_table_traceback_does_not_hold_the_table():
+    lines = good_lines()
+    lines[11] = "0 2 0 3"
+    with pytest.raises(AxiomViolationError) as err:
+        loads_ring("\n".join(lines) + "\n")
+    tb = err.value.__traceback__
+    while tb is not None:
+        frame = tb.tb_frame
+        held = [k for k, v in frame.f_locals.items() if isinstance(v, RingTable)]
+        assert not held, (frame.f_code.co_name, held)
         tb = tb.tb_next
 
 

@@ -14,9 +14,16 @@ from finring.construct import (
 )
 from finring.corpus import corpus
 from finring.enumeration import enumerate_unital
-from finring.iso import element_invariants, fingerprint, is_isomorphic
+from finring.iso import (
+    _class_ids,
+    _spanning_trace,
+    element_invariants,
+    fingerprint,
+    is_isomorphic,
+)
 from finring.presentation import build_from_text
 from finring.properties import (
+    _closure,
     jacobson_radical,
     lower_nilradical,
     nilpotent_set,
@@ -81,6 +88,68 @@ def test_one_sided_sizes_equal_the_distinct_entries_of_each_row_and_column():
         left = [len(np.unique(R.mul[:, x])) for x in range(R.order)]
         assert inv[:, 4].tolist() == right, R.provenance
         assert inv[:, 5].tolist() == left, R.provenance
+
+
+# -- spanning trace -------------------------------------------------------------
+
+
+def reference_spanning_trace(R):
+    """_spanning_trace with its closure as plain Python over one op at a time."""
+    classes = _class_ids(R)
+    trace = [R.zero, R.one] if R.one != R.zero else [R.zero]
+    pos = set(trace)
+    gens, segments = [], []
+
+    def close(seg, start):
+        tables = (R.add, R.mul)
+        k = start
+        while k < len(trace):
+            x = trace[k]
+            for j in range(k + 1):
+                y = trace[j]
+                for kind in (0, 1):
+                    t = tables[kind]
+                    for a, b, i2, j2 in ((x, y, k, j), (y, x, j, k)):
+                        v = int(t[a, b])
+                        if v not in pos:
+                            pos.add(v)
+                            seg.append((kind, i2, j2))
+                            trace.append(v)
+            k += 1
+
+    def rank(members, inside):
+        x = next(x for x in members if not inside[x])
+        grown = inside.copy()
+        grown[x] = True
+        return -int(_closure(grown, R.add, R.mul).sum()), len(members), x
+
+    seg0 = []
+    close(seg0, 0)
+    segments.append(seg0)
+    while len(trace) < R.order:
+        inside = np.zeros(R.order, dtype=bool)
+        inside[trace] = True
+        g = min(rank(m, inside) for m in classes.values() if not inside[m].all())[2]
+        gens.append(g)
+        pos.add(g)
+        trace.append(g)
+        seg = []
+        close(seg, len(trace) - 1)
+        segments.append(seg)
+    return gens, segments, trace
+
+
+R512 = "F2<u,v>/(u^3,v^3,u^2+v^2+vu,vu^2+uvu+vuv)"
+
+
+def test_spanning_trace_equals_the_plain_python_closure():
+    base = [e.build() for e in corpus()] + [build_from_text(R512)]
+    for order in (4, 8, 9, 16, 27):
+        base += enumerate_unital(order, deep=True)
+    assert {256, 512} <= {R.order for R in base}
+    rings = base + [opposite(R) for R in base] + [relabel(R, i) for i, R in enumerate(base)]
+    for R in rings:
+        assert _spanning_trace(R) == reference_spanning_trace(R), R.provenance
 
 
 # -- positive searches --------------------------------------------------------

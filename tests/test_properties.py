@@ -13,6 +13,7 @@ from finring.properties import (
     PropertyProfile,
     _distinct_zero_rows,
     _high_powers,
+    _nilpotency_index,
     _radical_plus,
     _zero_bits,
     _zero_row_bits,
@@ -370,6 +371,33 @@ def test_semicommutative_witness_is_the_lexicographic_first(rings_to_128):
             assert semicommutative_witness(S) == want, name
             failing += want is not None
     assert failing >= 20
+
+
+# -- nilpotency index ------------------------------------------------------------
+
+
+def nilpotency_index_in_n_steps(R):
+    """Least k <= n with x^k = 0 per element, 0 when there is none."""
+    n = R.order
+    base = np.arange(n)
+    cur, out = base.copy(), np.zeros(n, dtype=np.int64)
+    for k in range(1, n + 1):
+        out[(cur == R.zero) & (out == 0)] = k
+        cur = R.mul[cur, base]
+    return out
+
+
+def test_nilpotency_index_needs_only_log2_n_powers(enumerated_rings):
+    rings = [(e.name, e.build()) for e in corpus()] + enumerated_rings
+    rings.append(("R512", parse_ring_expr(R512)))
+    tight = []
+    for name, R in rings:
+        want = nilpotency_index_in_n_steps(R)
+        assert np.array_equal(_nilpotency_index(R), want), name
+        if want.max() == R.order.bit_length() - 1:
+            tight.append(R.order)
+    # 2 in Z16 has index 4 = log2 16, so the bound cannot be lowered
+    assert 16 in tight
 
 
 # -- bitset scans against the O(n^3) gathers -----------------------------------
