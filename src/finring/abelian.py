@@ -87,6 +87,43 @@ class CoordGroup:
         return np.flatnonzero(m % self.order_of == 0)
 
 
+def digit_tables(factors: Sequence[int], zero: int, add_rows, mul_rows):
+    """The add and mul tables of a ring whose elements are packed little-endian
+    over factors, filled from the rows of its pure elements.
+
+    The pure element (a, c) has digit c at a and the zero's digits elsewhere;
+    add_rows[a][c] and mul_rows[a][c] are its rows of the two tables, so each
+    of add_rows[a] and mul_rows[a] has shape (factors[a], n).  Every element
+    is the sum of its pure parts.  With stride_a the product of the factors
+    below a, the elements whose digits from a on are the zero's fill the rows
+    block_a = zero - zero % stride_a + [0, stride_a), and the element with
+    digit c at a and the zero's digits above is x + (a, c) for the x in
+    block_a with the same digits below a.  So each block_{a+1} comes from
+    block_a in one gather per table, broadcast over c:
+    add[x + (a, c)] = add_rows[a][c][add[x]] and
+    mul[x + (a, c)] = add[mul[x], mul_rows[a][c]].
+    That is O(n^2) in all: no entry is computed in coordinates.
+    """
+    factors = tuple(int(d) for d in factors)
+    n = int(np.prod(factors))
+    add = np.empty((n, n), dtype=np.int16)
+    mul = np.empty((n, n), dtype=np.int16)
+    add[zero] = np.arange(n)
+    mul[zero] = zero
+    blocks = []  # (block_a, block_{a+1}) per digit
+    stride = 1
+    for d in factors:
+        lo, top = zero - zero % stride, zero - zero % (stride * d)
+        blocks.append((slice(lo, lo + stride), slice(top, top + stride * d)))
+        stride *= d
+    # mul needs the whole add table, so add is filled first
+    for (src, dst), pure in zip(blocks, add_rows):
+        add[dst] = pure[np.arange(len(pure))[:, None, None], add[src]].reshape(-1, n)
+    for (src, dst), pure in zip(blocks, mul_rows):
+        mul[dst] = add[mul[src][None], pure[:, None, :]].reshape(-1, n)
+    return add, mul
+
+
 def partitions(total: int) -> list:
     """All integer partitions of total, each sorted descending."""
     if total == 0:

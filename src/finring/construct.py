@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .abelian import CoordGroup
+from .abelian import CoordGroup, digit_tables
 from .errors import InternalCheckError, TableStructureError
 from .table import MAX_ORDER, RingTable, _row_blocks, checked
 
@@ -137,19 +137,33 @@ def _monomial_algebra(R0: RingTable, one, products, label, provenance: str) -> R
     """The free R0-module on e_0 .. e_{b-1}, b = len(one), with e_i*e_j = e_t
     for each (i, j, t) in products and 0 for every other pair.  An element is
     its vector of b coefficients, each an element index of R0; one is the
-    unity's vector and label(coeffs) names an element."""
+    unity's vector and label(coeffs) names an element.
+
+    The tables are filled by abelian.digit_tables from the pure elements
+    c*e_a: (c*e_a)*y has coordinate t the sum of c*y_j over the products
+    (a, j, t).  That is O(|products| * m * n) for m = |R0|, then one O(n^2)
+    gather per coordinate and table."""
     b = len(one)
-    n = R0.order**b
+    m = R0.order
+    n = m**b
     if n > MAX_ORDER:
         raise TableStructureError(f"order {n} of {provenance} exceeds cap {MAX_ORDER}")
-    grp = CoordGroup([R0.order] * b)
+    grp = CoordGroup([m] * b)
     C = grp.dec
-    add = grp.encode(R0.add[C[:, None, :], C[None, :, :]])
-    acc = np.full((b, n, n), R0.zero, dtype=np.int64)
+    y = np.arange(n)
+    by_left = [[] for _ in range(b)]
     for i, j, t in products:
-        acc[t] = R0.add[acc[t], R0.mul[C[:, None, i], C[None, :, j]]]
-    mul = grp.encode(np.moveaxis(acc, 0, -1))
+        by_left[i].append((j, t))
+    add_rows, mul_rows = [], []
+    for a in range(b):
+        # rows of c*e_a for every c: y with coordinate a replaced by c + y_a
+        add_rows.append(y + (R0.add[:, C[:, a]] - C[:, a]) * m**a)
+        acc = np.full((b, m, n), R0.zero, dtype=np.int64)
+        for j, t in by_left[a]:
+            acc[t] = R0.add[acc[t], R0.mul[:, C[:, j]]]
+        mul_rows.append(grp.encode(np.moveaxis(acc, 0, -1)))
     zero, one = grp.encode(np.array([[R0.zero] * b, one]))
+    add, mul = digit_tables(grp.factors, int(zero), add_rows, mul_rows)
     labels = [label(c) for c in C]
     return checked(RingTable(n, labels, add, mul, int(zero), int(one), provenance))
 

@@ -5,9 +5,12 @@ polynomial relations.  The two-sided ideal the relations generate is truncated
 at word degree D and canonicalized (Howell form over the word module); when
 the quotient size agrees at D and D+1 and every degree-(D+1) word rewrites
 into lower degree, the quotient is the finite ring and we emit its tables on
-the surviving coset basis.  Correctness is enforced after the fact: the table
-must pass the full axiom scan, every relation must evaluate to zero in the
-built ring, and any declared expected order must match.
+the surviving coset basis.  For n elements over s basis words, only the rows
+of the pure elements c*e_a are computed in coordinates, O(n s^2) for each
+basis word; every other entry is one gather from an n x n table, O(n^2) in
+all, with no (n, n, s) array.  Correctness is enforced after the fact: the
+table must pass the full axiom scan, every relation must evaluate to zero in
+the built ring, and any declared expected order must match.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalCheckError, PresentationError
-from .abelian import CoordGroup
+from .abelian import CoordGroup, digit_tables
 from .howell import howell, prime_power, reduce_vectors, span_size
 from .lexer import Tokens
 from .table import MAX_ORDER, RingTable, verify_axioms
@@ -401,17 +404,37 @@ def build_ring(P: Presentation, min_degree: Optional[int] = None) -> RingTable:
     )
 
 
-def _emit(P: Presentation, D: int, B: ModuleMatrix):
-    """Construct and verify the table for one stabilization candidate.
+@dataclass
+class _CosetBasis:
+    """The quotient on one candidate's coset basis.
 
-    Returns (ring, None) on success, (None, reason) when the candidate is
-    rejected by the verification suite and the search should continue."""
+    An element is a box vector: coordinate i runs over range(ranges[i]), the
+    coefficient of words[i].  torsion holds (coordinate, p^v, row over the
+    basis) for each torsion pivot, in pivot order.  one and gens are the
+    unity's and the generators' vectors, and T[a, b] is words[a] * words[b]."""
+
+    words: tuple
+    ranges: tuple
+    q: int
+    torsion: list
+    one: np.ndarray
+    gens: np.ndarray
+    T: np.ndarray
+
+    def reduce(self, X):
+        """The box vector of the coset of each integer vector on X's last axis."""
+        X = X % self.q
+        for si, pval, row in self.torsion:
+            t = X[..., si] // pval
+            X = (X - t[..., None] * row) % self.q
+        return X
+
+
+def _coset_basis(P: Presentation, B: ModuleMatrix) -> _CosetBasis:
+    """The coset basis of candidate B, with the products of its words."""
     q = P.q
-    p, k = prime_power(q)
+    p, _ = prime_power(q)
     g = len(P.gens)
-    n = B.quotient_size()
-    if n > MAX_ORDER:
-        return None, f"order {n} exceeds limit {MAX_ORDER}"
 
     # surviving coset basis: free columns plus torsion (non-unit) pivots
     pv = dict(B.pivots)
@@ -419,9 +442,6 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
     s_cols.sort(key=lambda c: _asc_index(B.word_at(c), g))  # ascending deg-lex
     basis_words = tuple(B.word_at(c) for c in s_cols)
     ranges = tuple(p ** pv[c] if c in pv else q for c in s_cols)
-    grp = CoordGroup(ranges)
-    if grp.n != n:
-        raise InternalCheckError("coset basis ranges do not multiply to quotient size")
 
     col_to_s = {c: i for i, c in enumerate(s_cols)}
     s = len(s_cols)
@@ -438,14 +458,6 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
             raise InternalCheckError("torsion pivot row leaks outside coset basis")
         vrows.append((col_to_s[c], p**v, row[s_cols].copy()))
 
-    def sreduce(X):
-        # X: (..., s) int64; normalize torsion coordinates into their box
-        X = X % q
-        for si, pval, row in vrows:
-            t = X[..., si] // pval
-            X = (X - t[..., None] * row) % q
-        return X
-
     # 1, the generators and every basis word times a generator: each has
     # degree <= D + 1, since _closed(B) leaves no basis word of degree D + 1
     words = [(), *((i,) for i in range(g)), *(w + (i,) for w in basis_words for i in range(g))]
@@ -455,37 +467,72 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
     if red[:, outside].any():
         raise InternalCheckError("reduced word leaks outside coset basis")
     red = red[:, s_cols]
-    one_vec, gen_vecs, right = red[0], red[1 : g + 1], red[g + 1 :].reshape(s, g, s)
+    right = red[g + 1 :].reshape(s, g, s)
+    cb = _CosetBasis(
+        basis_words, ranges, q, vrows, red[0], red[1 : g + 1], np.zeros((s, s, s), dtype=np.int64)
+    )
 
     # T[a, b] = e_a * basis_words[b], one right multiplication per letter
-    T = np.zeros((s, s, s), dtype=np.int64)
     for b, w in enumerate(basis_words):
         X = np.eye(s, dtype=np.int64)
         for x in w:
-            X = sreduce(X @ right[:, x])
-        T[:, b] = X
+            X = cb.reduce(X @ right[:, x])
+        cb.T[:, b] = X
+    return cb
 
+
+def _emit(P: Presentation, D: int, B: ModuleMatrix):
+    """Construct and verify the table for one stabilization candidate.
+
+    The tables are filled by abelian.digit_tables from the rows of the pure
+    elements c*e_a: sum(ranges) rows of n box vectors each, O(n s^2) per
+    basis word in coordinates, then one O(n^2) gather per basis word and
+    table, with no (n, n, s) array.  The labels follow the same recurrence.
+
+    Returns (ring, None) on success, (None, reason) when the candidate is
+    rejected by the verification suite and the search should continue."""
+    n = B.quotient_size()
+    if n > MAX_ORDER:
+        return None, f"order {n} exceeds limit {MAX_ORDER}"
+    cb = _coset_basis(P, B)
+    grp = CoordGroup(cb.ranges)
+    if grp.n != n:
+        raise InternalCheckError("coset basis ranges do not multiply to quotient size")
+
+    # the pure element c*e_a: its add row is c*e_a + y and its mul row
+    # sum_b c*y_b*T[a, b], both as box vectors over every y
     V = grp.dec
-    # optimize=True contracts V with T first: O(n^2 s^2), not one O(n^2 s^3) pass
-    mul = grp.encode(sreduce(np.einsum("xa,yb,abw->xyw", V, V, T, optimize=True)))
-    add = grp.encode(sreduce(V[:, None, :] + V[None, :, :]))
+    unit = np.eye(len(cb.ranges), dtype=np.int64)
+    add_rows, mul_rows = [], []
+    for a, d in enumerate(cb.ranges):
+        c = np.arange(d)[:, None, None]
+        add_rows.append(grp.encode(cb.reduce(V + c * unit[a])))
+        mul_rows.append(grp.encode(cb.reduce(c * (V @ cb.T[a]))))
+    add, mul = digit_tables(cb.ranges, 0, add_rows, mul_rows)
 
-    one = int(grp.encode(one_vec))
-    labels = [_label(V[x], basis_words, P.gens) for x in range(n)]
+    # x + c*e_a for x below e_a: the label of x, then the term c*e_a
+    labels = ["0"]
+    for w, d in zip(cb.words, cb.ranges):
+        word = "".join(P.gens[i] for i in w)
+        below = labels[1:]
+        for c in range(1, d):
+            term = word if word and c == 1 else f"{c}{word}"
+            labels += [term, *(f"{lb}+{term}" for lb in below)]
+
     R = RingTable(
         n,
         labels,
-        add.astype(np.int16),
-        mul.astype(np.int16),
+        add,
+        mul,
         0,
-        one,
+        int(grp.encode(cb.one)),
         provenance=P.text or repr(P.relations),
     )
     report = verify_axioms(R)
     if not report.passed:
         return None, f"table fails axioms: {report.violations[:2]}"
 
-    gen_elts = [int(x) for x in grp.encode(gen_vecs)]
+    gen_elts = [int(x) for x in grp.encode(cb.gens)]
     for rel in P.relations:
         acc = R.zero
         for w, c in rel:
@@ -499,23 +546,8 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
     if P.expected_order is not None and n != P.expected_order:
         raise PresentationError(f"built order {n} != declared expected order {P.expected_order}")
 
-    R._cache["presentation_build"] = PresentationBuild(P, D, basis_words, ranges, B, gen_elts)
+    R._cache["presentation_build"] = PresentationBuild(P, D, cb.words, cb.ranges, B, gen_elts)
     return R, None
-
-
-def _label(vec, basis_words, gens) -> str:
-    parts = []
-    for c, w in zip(vec, basis_words):
-        if not c:
-            continue
-        word = "".join(gens[i] for i in w) if w else ""
-        if not word:
-            parts.append(str(int(c)))
-        elif c == 1:
-            parts.append(word)
-        else:
-            parts.append(f"{int(c)}{word}")
-    return "+".join(parts) if parts else "0"
 
 
 def build_from_text(text: str, expected_order: Optional[int] = None) -> RingTable:

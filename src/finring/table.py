@@ -345,31 +345,38 @@ def _scan_axioms(R: RingTable) -> AxiomReport:
 def _additive_generators(R: RingTable):
     """Greedy G such that every element is a left-nested sum (..((0+g1)+g2)..)+gm over G.
 
-    Returns G as an intp array, or None once |G| exceeds n.bit_length(),
-    which no group reaches: in a group each new generator at least doubles
-    the span.  Each element joins the span once and queues |G| sums, so the
-    search for each generator's span takes at most n * (|G| + 1) steps.
+    Returns G as a read-only intp array, cached on R, or None once |G|
+    exceeds n.bit_length(), which no group reaches: in a group each new
+    generator at least doubles the span.  Each element joins the span once
+    and queues |G| sums, so the search for each generator's span takes at
+    most n * (|G| + 1) steps.
     """
-    n = R.order
-    inside = [False] * n
-    inside[R.zero] = True
-    reached = 1
-    gens, cols = [], []
-    while reached < n:
-        g = inside.index(False)
-        gens.append(g)
-        if len(gens) > n.bit_length():
-            return None
-        cols.append(R.add[:, g].tolist())
-        # the old span is closed under the old generators, so only s+g is new
-        queue = [cols[-1][x] for x in range(n) if inside[x]]
-        while queue:
-            y = queue.pop()
-            if not inside[y]:
-                inside[y] = True
-                reached += 1
-                queue.extend(col[y] for col in cols)
-    return np.array(gens, dtype=np.intp)
+
+    def build():
+        n = R.order
+        inside = [False] * n
+        inside[R.zero] = True
+        reached = 1
+        gens, cols = [], []
+        while reached < n:
+            g = inside.index(False)
+            gens.append(g)
+            if len(gens) > n.bit_length():
+                return None
+            cols.append(R.add[:, g].tolist())
+            # the old span is closed under the old generators, so only s+g is new
+            queue = [cols[-1][x] for x in range(n) if inside[x]]
+            while queue:
+                y = queue.pop()
+                if not inside[y]:
+                    inside[y] = True
+                    reached += 1
+                    queue.extend(col[y] for col in cols)
+        out = np.array(gens, dtype=np.intp)
+        out.setflags(write=False)
+        return out
+
+    return R.cached("additive_generators", build)
 
 
 def _laws_hold_on_generators(R: RingTable) -> bool:

@@ -21,9 +21,11 @@ from finring import (
     upper_triangular,
     verify_axioms,
 )
+from finring import construct
 from finring.iso import is_isomorphic
 from finring.table import RingTable, checked
 from finring.abelian import CoordGroup
+from finring.corpus import corpus
 from finring.construct import (
     _least_irreducible,
     _poly_divmod,
@@ -126,14 +128,15 @@ def test_upper_triangular_is_the_triangular_subring_of_the_matrix_ring(R0, k):
         assert all(rows[i][j] == zero for i in range(k) for j in range(i)), lb
 
 
-def _z3_with_zero_at_1():
-    # Z3 relabelled by x -> x + 1 mod 3: zero is element 1 and one is element 2
-    Z3 = cyclic(3)
-    pi = np.array([1, 2, 0])
+def _shifted_cyclic(n, shift):
+    # Zn relabelled by x -> x + shift mod n: zero is element shift
+    Zn = cyclic(n)
+    pi = (np.arange(n) + shift) % n
     sigma = np.argsort(pi)
     grid = np.ix_(sigma, sigma)
-    labels = [Z3.labels[i] for i in sigma]
-    return checked(RingTable(3, labels, pi[Z3.add[grid]], pi[Z3.mul[grid]], 1, 2, "Z3'"))
+    labels = [Zn.labels[i] for i in sigma]
+    return checked(RingTable(n, labels, pi[Zn.add[grid]], pi[Zn.mul[grid]], shift,
+                             (1 + shift) % n, f"Z{n}'"))
 
 
 @pytest.mark.parametrize("build", [
@@ -142,7 +145,7 @@ def _z3_with_zero_at_1():
     lambda R: group_algebra(R, cyclic_group(2)),
 ], ids=["M", "U", "GA"])
 def test_coefficient_zero_and_one_may_sit_at_any_index(build):
-    R0 = _z3_with_zero_at_1()
+    R0 = _shifted_cyclic(3, 1)
     assert (R0.zero, R0.one) == (1, 2)
     R, S = build(R0), build(cyclic(3))
     assert R.labels[R.zero] == S.labels[S.zero]
@@ -154,6 +157,54 @@ def test_coefficient_zero_and_one_may_sit_at_any_index(build):
     assert np.array_equal(S.add[np.ix_(phi, phi)], phi[R.add])
     assert np.array_equal(S.mul[np.ix_(phi, phi)], phi[R.mul])
     assert (phi[R.zero], phi[R.one]) == (S.zero, S.one)
+
+
+def reference_monomial_algebra(R0, one, products, label, provenance):
+    """construct._monomial_algebra by the tensor fill: the coordinates of
+    every sum and product of two elements at once, as (n, n, b) arrays."""
+    b = len(one)
+    n = R0.order**b
+    grp = CoordGroup([R0.order] * b)
+    C = grp.dec
+    add = grp.encode(R0.add[C[:, None, :], C[None, :, :]])
+    acc = np.full((b, n, n), R0.zero, dtype=np.int64)
+    for i, j, t in products:
+        acc[t] = R0.add[acc[t], R0.mul[C[:, None, i], C[None, :, j]]]
+    mul = grp.encode(np.moveaxis(acc, 0, -1))
+    zero, one = grp.encode(np.array([[R0.zero] * b, one]))
+    labels = [label(c) for c in C]
+    return checked(RingTable(n, labels, add, mul, int(zero), int(one), provenance))
+
+
+def _with_reference_fill(monkeypatch, build):
+    """build() and build() again with the tensor fill, as a pair of rings."""
+    R = build()
+    with monkeypatch.context() as m:
+        m.setattr(construct, "_monomial_algebra", reference_monomial_algebra)
+        return R, build()
+
+
+MONOMIAL_CATALOG = [e for e in corpus() if any(f in e.recipe for f in ("M(", "U(", "GA("))]
+
+
+@pytest.mark.parametrize("entry", MONOMIAL_CATALOG, ids=lambda e: e.name)
+def test_monomial_tables_equal_the_tensor_oracle(entry, monkeypatch):
+    R, S = _with_reference_fill(monkeypatch, entry.build)
+    assert R.table_equal(S) and R.provenance == S.provenance
+
+
+@pytest.mark.parametrize("n,shift", [(3, 1), (3, 2), (4, 3)])
+@pytest.mark.parametrize("build", [
+    lambda R: matrix_ring(R, 2),
+    lambda R: upper_triangular(R, 2),
+    lambda R: group_algebra(R, cyclic_group(2)),
+    lambda R: group_algebra(R, cyclic_group(3)),
+], ids=["M", "U", "GA2", "GA3"])
+def test_monomial_tables_equal_the_tensor_oracle_when_zero_is_not_0(n, shift, build, monkeypatch):
+    R0 = _shifted_cyclic(n, shift)
+    R, S = _with_reference_fill(monkeypatch, lambda: build(R0))
+    assert R.zero != 0
+    assert R.table_equal(S)
 
 
 def test_quaternion_group_table():

@@ -1,13 +1,17 @@
 """Quotient-ring builder: parser, stabilization, and verified emission."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from finring.abelian import CoordGroup
+from finring.corpus import corpus
 from finring.errors import PresentationError
 from finring.iso import is_isomorphic
 from finring.presentation import (
+    _coset_basis,
     _pmul,
     build_from_text,
     build_ring,
@@ -16,7 +20,7 @@ from finring.presentation import (
     presentation_build,
 )
 from finring.properties import is_reversible, is_symmetric
-from finring.table import ideal_generated, quotient
+from finring.table import RingTable, ideal_generated, quotient
 
 
 # -- relation parser ----------------------------------------------------------
@@ -162,6 +166,78 @@ def test_five_relation_text_builds_the_256_ring_directly():
     R = build_from_text(FIVE_REL, expected_order=256)
     assert R.order == 256
     assert is_reversible(R) is True
+
+
+# -- table emission against the tensor oracle --------------------------------
+
+
+def reference_label(vec, basis_words, gens):
+    parts = []
+    for c, w in zip(vec, basis_words):
+        if not c:
+            continue
+        word = "".join(gens[i] for i in w) if w else ""
+        if not word:
+            parts.append(str(int(c)))
+        elif c == 1:
+            parts.append(word)
+        else:
+            parts.append(f"{int(c)}{word}")
+    return "+".join(parts) if parts else "0"
+
+
+def reference_tables(R):
+    """R rebuilt by the tensor emission: every sum and product of two box
+    vectors at once as (n, n, s) arrays, reduced and encoded, and each label
+    read off its element's coordinates."""
+    pb = presentation_build(R)
+    P = pb.presentation
+    cb = _coset_basis(P, pb.matrix)
+    grp = CoordGroup(cb.ranges)
+    V = grp.dec
+    mul = grp.encode(cb.reduce(np.einsum("xa,yb,abw->xyw", V, V, cb.T, optimize=True)))
+    add = grp.encode(cb.reduce(V[:, None, :] + V[None, :, :]))
+    labels = [reference_label(V[x], cb.words, P.gens) for x in range(grp.n)]
+    return RingTable(grp.n, labels, add, mul, 0, int(grp.encode(cb.one)))
+
+
+CATALOG_PRESENTATIONS = {e.name: e.recipe for e in corpus() if "<" in e.recipe}
+EMISSION_TEXTS = [
+    *CATALOG_PRESENTATIONS.values(),
+    FOUR_REL,
+    "F3<x>/(x^2)",
+    "F3<u,v>/(u^2,v^2,uv+vu)",
+    "Z8<x>/(x^2)",
+    "Z8<x>/(x^2-2,4x)",
+    "Z9<x>/(x^2-3)",
+    "Z9<x,y>/(x^2,y^2,xy,yx,3x)",
+    "F2<x>/(1)",
+]
+
+
+@pytest.mark.parametrize("text", EMISSION_TEXTS)
+def test_emitted_tables_equal_the_tensor_oracle(text):
+    R = build_from_text(text)
+    assert R.table_equal(reference_tables(R))
+
+
+def test_the_emission_oracle_covers_torsion_pivots():
+    torsion = {}
+    for name in ("L32c", "S16Z4a"):
+        pb = presentation_build(build_from_text(CATALOG_PRESENTATIONS[name]))
+        torsion[name] = len(_coset_basis(pb.presentation, pb.matrix).torsion)
+    assert torsion == {"L32c": 3, "S16Z4a": 2}
+
+
+def test_building_the_512_ring_allocates_no_n_n_s_tensor():
+    # an (n, n, s) int64 array at n = 512, s = 9 is 18 MiB on its own
+    tracemalloc.start()
+    try:
+        build_from_text(FOUR_REL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 # -- failure modes ------------------------------------------------------------

@@ -38,6 +38,7 @@ from finring.properties import (
 from finring.table import (
     ElementSet,
     RingTable,
+    _additive_generators,
     _first_triple,
     _row_blocks,
     direct_sum,
@@ -45,6 +46,7 @@ from finring.table import (
     projection_map,
     quotient,
     right_annihilator,
+    verify_axioms,
 )
 
 
@@ -536,3 +538,13 @@ def test_zero_product_predicates_survive_relabeling(rings_to_64, data):
     assert_scans_match_the_gathers(name, S)
     assert semicommutative_witness(S) == brute_semicommutative_witness(S), name
     assert reflexive_witness(S) == brute_reflexive_witness(S), name
+
+
+def test_verify_axioms_and_zero_row_bits_share_the_additive_generators():
+    S = build_from_text("F2<u,v>/(u^3,v^2,u^2+uv+vu,uvu)")
+    R = RingTable(S.order, S.labels, S.add, S.mul, S.zero, S.one)  # cold caches
+    assert verify_axioms(R).passed
+    G = R._cache["additive_generators"]
+    _zero_row_bits(R)
+    assert _additive_generators(R) is G
+    assert not G.flags.writeable
