@@ -87,9 +87,36 @@ class CoordGroup:
         return np.flatnonzero(m % self.order_of == 0)
 
 
+def product_tables(grp: CoordGroup, T, reduce=None):
+    """The add and mul tables of the bilinear product on grp with basis
+    products T[a, b], the coordinate vector of e_a * e_b.
+
+    Only the rows of the pure elements c*e_a are computed in coordinates:
+    c*e_a + y and c*(y @ T[a]) for every y, O(n k^2) per coordinate.
+    reduce maps integer coordinate vectors on the last axis to the box
+    vectors of their cosets; None takes each coordinate mod its factor.
+    digit_tables fills the rest, so the zero is index 0 and no (n, n, k)
+    array is built.  Nothing here checks a ring law."""
+
+    def rows(X):
+        # encode takes each coordinate mod its factor
+        return grp.encode(X if reduce is None else reduce(X))
+
+    V = grp.dec
+    T = np.asarray(T, dtype=np.int64)
+    unit = np.eye(grp.k, dtype=np.int64)
+    add_rows, mul_rows = [], []
+    for a, d in enumerate(grp.factors):
+        c = np.arange(d)[:, None, None]
+        add_rows.append(rows(V + c * unit[a]))
+        mul_rows.append(rows(c * (V @ T[a])))
+    return digit_tables(grp.factors, 0, add_rows, mul_rows)
+
+
 def digit_tables(factors: Sequence[int], zero: int, add_rows, mul_rows):
     """The add and mul tables of a ring whose elements are packed little-endian
-    over factors, filled from the rows of its pure elements.
+    over factors, filled from the rows of its pure elements.  product_tables
+    and construct._monomial_algebra compute those rows.
 
     The pure element (a, c) has digit c at a and the zero's digits elsewhere;
     add_rows[a][c] and mul_rows[a][c] are its rows of the two tables, so each

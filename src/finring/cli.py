@@ -11,10 +11,8 @@
     finring import f2q8.ringtab
 
 `enumerate` runs orders 2, 3, 4, 5, 7, 8, 9 and 27.  `verify` exits 0 only
-when every corpus expectation and invariant suite passes.  `--deep` and
-`--seed` apply to enumerate and verify: `--deep` opts into the order-16
-enumeration, and `--seed` shuffles the search order and never changes the
-output.
+when every corpus expectation and invariant suite passes.  `--deep` applies
+to enumerate and verify and opts into the order-16 enumeration.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    rings = enumerate_unital(args.order, deep=args.deep, seed=args.seed)
+    rings = enumerate_unital(args.order, deep=args.deep)
     print(f"order {args.order}: {len(rings)} isomorphism classes")
     if args.census:
         print(taxonomy_census(rings).as_text())
@@ -101,7 +99,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rep = verify_corpus(deep=args.deep, seed=args.seed)
+    rep = verify_corpus(deep=args.deep)
     text = rep.as_kv() if args.kv else rep.as_text()
     print(text)
     if args.out:
@@ -134,11 +132,6 @@ def main(argv=None) -> int:
         p.add_argument("--deep", action="store_true",
                        help="opt into the order-16 enumeration")
 
-    def seed(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="shuffle the enumeration search order; the output "
-                            "is the same for every seed")
-
     p = sub.add_parser("build", help="build a ring and show a summary")
     p.add_argument("expr", help="ring expression, presentation, or RINGTAB path")
     p.add_argument("--out", default=None, help="also export as RINGTAB")
@@ -164,14 +157,12 @@ def main(argv=None) -> int:
     p.add_argument("--census", action="store_true", help="property census table")
     p.add_argument("--out", default=None, help="directory for RINGTAB exports")
     deep(p)
-    seed(p)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the full expectation and invariant suite")
     p.add_argument("--kv", action="store_true", help="machine-readable output")
     p.add_argument("--out", default=None, help="write machine report to a file")
     deep(p)
-    seed(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("export", help="write a ring as a RINGTAB file")

@@ -7,17 +7,16 @@ grammar can express a construction, the provenance is that expression.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .abelian import CoordGroup, digit_tables
+from .abelian import CoordGroup, digit_tables, product_tables
 from .errors import InternalCheckError, TableStructureError
 from .table import MAX_ORDER, RingTable, _row_blocks, checked
-
-_DTYPE = np.int16
 
 
 def cyclic(n: int) -> RingTable:
@@ -118,16 +117,6 @@ def _poly_label(coeffs, var: str) -> str:
             head = "" if c == 1 else str(c)
             terms.append(f"{head}{var}" if i == 1 else f"{head}{var}^{i}")
     return "+".join(terms) if terms else "0"
-
-
-def frobenius_map(F: RingTable) -> np.ndarray:
-    """The element map x -> x^p where p is the characteristic of the field F."""
-    p = F.characteristic
-    cur = np.arange(F.order, dtype=_DTYPE)
-    base = np.arange(F.order, dtype=_DTYPE)
-    for _ in range(p - 1):
-        cur = F.mul[cur, base]
-    return cur
 
 
 # -- rings free over a coefficient ring ---------------------------------------
@@ -290,27 +279,25 @@ def _combo_label(coeffs, F: RingTable, glabels) -> str:
 
 
 def skew_quotient_f4() -> RingTable:
-    """F4[x; frobenius] / (x^2): pairs a + b*x with x*a = frob(a)*x and x^2 = 0."""
-    F = galois(2, 2)
-    frob = frobenius_map(F)
-    grp = CoordGroup([4, 4])
-    n = grp.n
-    a, b = grp.dec.T
-    add = grp.encode(np.stack([F.add[a[:, None], a[None, :]], F.add[b[:, None], b[None, :]]], -1))
-    # (a1 + b1 x)(a2 + b2 x) = a1 a2 + (a1 b2 + b1 frob(a2)) x
-    mul = grp.encode(np.stack([
-        F.mul[a[:, None], a[None, :]],
-        F.add[F.mul[a[:, None], b[None, :]], F.mul[b[:, None], frob[a[None, :]]]],
-    ], -1))
+    """F4[x; frobenius] / (x^2): pairs a + b*x with x*a = frob(a)*x and x^2 = 0.
+
+    Over F4 = F2[w]/(w^2 + w + 1), frob(w) = w^2 = 1 + w.  On the F2-basis
+    (1, w, x, wx), where a + b*x packs as a + 4b, the products of w, x and
+    wx that are not 0 are ww = 1 + w, w.x = wx, w.wx = x + wx, xw = x + wx
+    and wx.w = x.
+    """
+    P = np.zeros((4, 4, 4), dtype=np.int64)
+    P[0] = P[:, 0] = np.eye(4, dtype=np.int64)
+    P[1, 1] = [1, 1, 0, 0]
+    P[1, 2] = [0, 0, 0, 1]
+    P[1, 3] = P[2, 1] = [0, 0, 1, 1]
+    P[3, 1] = [0, 0, 1, 0]
+    f4 = ("0", "1", "w", "1+w")  # a0 + a1*w at index a0 + 2*a1, as in GF(2,2)
     labels = []
-    for x in range(n):
-        la, lb = F.labels[a[x]], F.labels[b[x]]
-        if b[x] == 0:
-            labels.append(la)
-        else:
-            xs = "x" if b[x] == 1 else f"({lb})x"
-            labels.append(xs if a[x] == 0 else f"{la}+{xs}")
-    return checked(RingTable(n, labels, add, mul, 0, 1, provenance="SkewF4x2()"))
+    for b in range(4):
+        xs = "x" if b == 1 else f"({f4[b]})x"
+        labels += [f4[a] if not b else xs if not a else f"{f4[a]}+{xs}" for a in range(4)]
+    return from_structure_constants([2] * 4, P, [1, 0, 0, 0], labels, "SkewF4x2()")
 
 
 @dataclass(frozen=True)
@@ -467,26 +454,34 @@ def from_structure_constants(
     products[i][j]: coefficient vector of e_i * e_j over the basis.
     one_coords: coefficient vector of the unity.
 
-    The bilinear extension is formed over the coordinate group and then every
-    ring law is verified; bad constants raise AxiomViolationError.
+    Bad input raises TableStructureError before any table is allocated.  The
+    tables are abelian.product_tables of the products, and then every ring
+    law is verified; bad constants raise AxiomViolationError.
     """
-    grp = CoordGroup(factors)
-    k = grp.k
+    factors = tuple(int(d) for d in factors)
+    if any(d < 1 for d in factors):
+        raise TableStructureError(f"factors must all be >= 1, got {factors}")
+    n = math.prod(factors)
+    if n > MAX_ORDER:
+        raise TableStructureError(f"order {n} exceeds the supported cap {MAX_ORDER}")
+    k = len(factors)
     P = np.asarray(products, dtype=np.int64)
     if P.shape != (k, k, k):
         raise TableStructureError(f"products must have shape ({k},{k},{k}), got {P.shape}")
+    if len(one_coords) != k:
+        raise TableStructureError(f"one_coords must have length {k}, got {len(one_coords)}")
+    grp = CoordGroup(factors)
     pidx = grp.encode(P)  # (k, k) element index of e_i e_j
     # torsion guard: ord(e_i e_j) must divide both d_i and d_j
     for i in range(k):
         for j in range(k):
             o = int(grp.order_of[pidx[i, j]])
-            if grp.factors[i] % o or grp.factors[j] % o:
+            if factors[i] % o or factors[j] % o:
                 raise TableStructureError(
                     f"product e_{i}*e_{j} has additive order {o}, incompatible with "
-                    f"factors {grp.factors[i]}, {grp.factors[j]}"
+                    f"factors {factors[i]}, {factors[j]}"
                 )
-    x = np.arange(grp.n)
-    mul = grp.bilinear(pidx, x[:, None], x[None, :])
+    add, mul = product_tables(grp, P)
     one = int(grp.encode(np.asarray(one_coords, dtype=np.int64)))
     if labels is None:
         labels = [
@@ -496,8 +491,6 @@ def from_structure_constants(
                 if ci
             )
             or "0"
-            for x in range(grp.n)
+            for x in range(n)
         ]
-    return checked(
-        RingTable(grp.n, labels, grp.add, mul, 0, one, provenance=provenance)
-    )
+    return checked(RingTable(n, labels, add, mul, 0, one, provenance=provenance))

@@ -152,11 +152,10 @@ def corpus() -> list:
           basis_span=((), ("u",), ("v",), ("u", "v"), ("v", "u"))),
         E("Abel64", "F2<u,v>/(u^2,v^2,uvu-vuv)", 64,
           dict(abelian=True, semicommutative=False, reflexive=False, local=True),
-          "smallest ring that is abelian but not semicommutative; also the "
-          "smallest nonsemicommutative ring of any kind"),
+          "smallest ring that is abelian but not semicommutative"),
         E("Reflexive64", "Reflexive64()", 64,
           dict(commutative=False, ni=True, abelian=False, reflexive=True),
-          "smallest reflexive ring that is not abelian"),
+          "smallest reflexive NI ring that is not abelian"),
         E("Tri128", "tri(M(2,GF(2)),GF(2),columns)", 128,
           dict(ni=False, reflexive=False),
           "formal triangular glue of 2x2 matrices over F2 and F2 along the "
@@ -415,16 +414,16 @@ def _suite_split(built: list) -> SuiteResult:
     return s
 
 
-def _suite_enumeration(deep: bool, seed=None) -> SuiteResult:
+def _suite_enumeration(deep: bool) -> SuiteResult:
     s = SuiteResult("enumeration counts", note="deep" if deep else "small orders")
     expected = {2: 1, 3: 1, 4: 4, 5: 1, 7: 1, 8: 11, 9: 4}
     for order, want in sorted(expected.items()):
-        rings = enumerate_unital(order, seed=seed)
+        rings = enumerate_unital(order)
         s.checked += 1
         if len(rings) != want:
             s.violations.append(f"order {order}: {len(rings)} classes, expected {want}")
         if order == 8:
-            rings8 = rings  # the same classes and tables for every seed
+            rings8 = rings
     noncomm = [R for R in rings8 if not profile(R).commutative]
     s.checked += 1
     if len(noncomm) != 1:
@@ -438,7 +437,7 @@ def _suite_enumeration(deep: bool, seed=None) -> SuiteResult:
             s.violations.append("order 8: the noncommutative class is not the "
                                 "triangular matrix ring")
     if deep:
-        rings16 = enumerate_unital(16, deep=True, seed=seed)
+        rings16 = enumerate_unital(16, deep=True)
         profs = [profile(R) for R in rings16]
         noncomm16 = sum(1 for p in profs if not p.commutative)
         nonni = [R for R, p in zip(rings16, profs) if not p.ni]
@@ -458,7 +457,7 @@ def _suite_enumeration(deep: bool, seed=None) -> SuiteResult:
     return s
 
 
-def verify_corpus(deep: bool = False, seed=None) -> VerificationReport:
+def verify_corpus(deep: bool = False) -> VerificationReport:
     """Build and check every entry, then run the cross-cutting suites."""
     t0 = time.time()
     results = []
@@ -474,6 +473,6 @@ def verify_corpus(deep: bool = False, seed=None) -> VerificationReport:
         _suite_opposite(built),
         _suite_local_cube(built),
         _suite_split(built),
-        _suite_enumeration(deep, seed=seed),
+        _suite_enumeration(deep),
     ]
     return VerificationReport(results, suites, time.time() - t0)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import CoordGroup, abelian_groups_of_order
+from .abelian import CoordGroup, abelian_groups_of_order, product_tables
 from .errors import FinringError, InternalCheckError
 from .iso import fingerprint
 from .properties import profile
@@ -83,7 +83,7 @@ def _checks_by_position(schedule, r: int):
 
 
 class _GroupSearch:
-    def __init__(self, factors, seed=None):
+    def __init__(self, factors):
         self.G = CoordGroup(tuple(factors))
         G = self.G
         self.k = G.k
@@ -93,17 +93,13 @@ class _GroupSearch:
         self.schedule = _slot_schedule(self.r)
         self.slot_pos = {s: i for i, s in enumerate(self.schedule)}
         self.checks = _checks_by_position(self.schedule, self.r)
-        self.rng = np.random.default_rng(seed) if seed is not None else None
 
         self.omega = []
         for (i, j) in self.schedule:
             di = int(G.factors[i + 1])
             dj = int(G.factors[j + 1])
             g = np.gcd(di, dj)
-            cand = G.killed_by(int(g))
-            if self.rng is not None:
-                cand = self.rng.permutation(cand)
-            self.omega.append(cand.astype(np.int16))
+            self.omega.append(G.killed_by(int(g)).astype(np.int16))
 
         # maps[a][code*n + x] is the additive map with e_0 -> g_a and e_p -> img_p
         # at x, where code packs img_1..img_r in base n
@@ -198,20 +194,19 @@ class _GroupSearch:
         return P
 
     def table(self, row) -> RingTable:
-        """Bilinear extension of one assignment to a full RingTable."""
+        """Bilinear extension of one assignment to a full RingTable, not
+        verified: the assignment need not be associative."""
         G = self.G
-        n = G.n
-        x = np.arange(n)
-        mul = G.bilinear(self.constants(row), x[:, None], x[None, :])
+        add, mul = product_tables(G, G.dec[self.constants(row)])
         labels = [".".join(str(int(v)) for v in coords) for coords in G.dec]
         return RingTable(
-            n,
+            G.n,
             labels,
-            G.add.astype(np.int16),
-            mul.astype(np.int16),
+            add,
+            mul,
             0,
             int(self.one),
-            provenance=f"enumerated(order={n},additive={'x'.join(map(str, G.factors))})",
+            provenance=f"enumerated(order={G.n},additive={'x'.join(map(str, G.factors))})",
         )
 
     def stabiliser(self) -> np.ndarray:
@@ -323,8 +318,8 @@ def enumerate_unital(order: int, deep: bool = False, seed=None):
 
     Orders 2,3,4,5,7,8,9,27 run directly; 16 must be opted into with
     deep=True.  Each class is represented by the least survivor of its
-    orbit, so the classes, their order and their tables are the same for
-    every seed; seed shuffles only the search's branching order.
+    orbit.  seed is accepted and ignored: the search has no random choice,
+    and the keyword stays only for callers that still pass it.
     """
     if order in DEEP_ORDERS:
         if not deep:
@@ -332,19 +327,15 @@ def enumerate_unital(order: int, deep: bool = False, seed=None):
     elif order not in SUPPORTED_ORDERS:
         raise FinringError(f"unsupported enumeration order {order}")
 
-    reps = list(_classes(order, seed))
+    reps = list(_classes(order))
     reps.sort(key=fingerprint)
     return reps
 
 
-def _classes(order: int, seed):
+def _classes(order: int):
     """One checked table per isomorphism class, group by group."""
-    groups = abelian_groups_of_order(order)
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        groups = [groups[i] for i in rng.permutation(len(groups))]
-    for factors in groups:
-        search = _GroupSearch(factors, seed=seed)
+    for factors in abelian_groups_of_order(order):
+        search = _GroupSearch(factors)
         rows = np.unique(search.survivors(), axis=0)
         least = search.orbits(rows)
         for row in rows[least == np.arange(len(rows))]:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalCheckError, PresentationError
-from .abelian import CoordGroup, digit_tables
+from .abelian import CoordGroup, product_tables
 from .howell import howell, prime_power, reduce_vectors, span_size
 from .lexer import Tokens
 from .table import MAX_ORDER, RingTable, verify_axioms
@@ -484,9 +484,9 @@ def _coset_basis(P: Presentation, B: ModuleMatrix) -> _CosetBasis:
 def _emit(P: Presentation, D: int, B: ModuleMatrix):
     """Construct and verify the table for one stabilization candidate.
 
-    The tables are filled by abelian.digit_tables from the rows of the pure
-    elements c*e_a: sum(ranges) rows of n box vectors each, O(n s^2) per
-    basis word in coordinates, then one O(n^2) gather per basis word and
+    The tables are abelian.product_tables of the basis words' products
+    cb.T, with each row reduced onto the coset basis by cb.reduce: O(n s^2)
+    per basis word in coordinates, then one O(n^2) gather per basis word and
     table, with no (n, n, s) array.  The labels follow the same recurrence.
 
     Returns (ring, None) on success, (None, reason) when the candidate is
@@ -499,16 +499,7 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
     if grp.n != n:
         raise InternalCheckError("coset basis ranges do not multiply to quotient size")
 
-    # the pure element c*e_a: its add row is c*e_a + y and its mul row
-    # sum_b c*y_b*T[a, b], both as box vectors over every y
-    V = grp.dec
-    unit = np.eye(len(cb.ranges), dtype=np.int64)
-    add_rows, mul_rows = [], []
-    for a, d in enumerate(cb.ranges):
-        c = np.arange(d)[:, None, None]
-        add_rows.append(grp.encode(cb.reduce(V + c * unit[a])))
-        mul_rows.append(grp.encode(cb.reduce(c * (V @ cb.T[a]))))
-    add, mul = digit_tables(cb.ranges, 0, add_rows, mul_rows)
+    add, mul = product_tables(grp, cb.T, cb.reduce)
 
     # x + c*e_a for x below e_a: the label of x, then the term c*e_a
     labels = ["0"]

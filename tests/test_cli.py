@@ -1,4 +1,5 @@
-"""Command-line options: PS I on every order, and --deep only where it applies."""
+"""Command-line options: PS I on every order, --deep only where it applies,
+and no --seed."""
 
 import pytest
 
@@ -21,6 +22,14 @@ def test_deep_is_a_usage_error_on_props_and_import(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "unrecognized arguments: --deep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "8", "--seed", "1"], ["verify", "--seed", "1"]])
+def test_seed_is_a_usage_error_on_enumerate_and_verify(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_import_evaluates_ps_i_on_a_ring_of_order_256(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Constructor families: orders, axioms, and frozen structural facts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,6 @@ from finring.construct import (
     _least_irreducible,
     _poly_divmod,
     column_bimodule,
-    frobenius_map,
     ring_bimodule,
 )
 from finring.table import additive_type
@@ -81,13 +82,6 @@ def test_galois_products_are_polynomial_products_mod_the_modulus(p, k):
         for y in range(F.order):
             rem = list(_poly_divmod(_poly_mul(coeffs[x], coeffs[y], p), f, p)[1])
             assert F.mul[x, y] == index[tuple(rem + [0] * (k - len(rem)))]
-
-
-def test_frobenius_squares_elements():
-    F = galois(2, 2)
-    fr = frobenius_map(F)
-    for x in F.elements():
-        assert fr[x] == F.mul[x, x]
 
 
 def test_matrix_ring_m2f2():
@@ -282,6 +276,23 @@ def test_structure_constants_f4():
     )
     assert S.order == 4
     assert len(units(S)) == 3
+
+
+@pytest.mark.parametrize("factors,one,match", [
+    ((44, 44), [1, 0], "order 1936"),  # over the cap: its tables are never built
+    ((2, 0), [1, 0], "factors"),
+    ((4,), [1, 0], "one_coords"),
+], ids=["over-cap", "factor-below-one", "one-coords-length"])
+def test_structure_constants_refuse_bad_input_before_allocating(factors, one, match):
+    k = len(factors)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableStructureError, match=match):
+            from_structure_constants(factors, np.zeros((k, k, k), dtype=np.int64), one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_structure_constants_reject_broken_identity():

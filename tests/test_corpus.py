@@ -3,6 +3,7 @@
 import pytest
 
 from finring.corpus import corpus, verify_corpus
+from finring.properties import profile
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +91,16 @@ def test_basis_span_claim_checked_for_sym32(report):
     # records the span check passing
     e = {x.name: x for x in report.entries}["Sym32"]
     assert any("basis_span" in item for item in e.checked), e.checked
+
+
+def test_smaller_counterexamples_bound_the_order_64_notes():
+    # M2F2 is reflexive and not abelian, so Reflexive64 is least only among
+    # NI rings; U2F2 is not semicommutative, so Abel64 is least only among
+    # abelian rings
+    by_name = {e.name: e for e in corpus()}
+    m2f2 = profile(by_name["M2F2"].build())
+    assert (m2f2.order, m2f2.reflexive, m2f2.abelian, m2f2.ni) == (16, True, False, False)
+    u2f2 = profile(by_name["U2F2"].build())
+    assert (u2f2.order, u2f2.semicommutative, u2f2.abelian) == (8, False, False)
+    assert "NI" in by_name["Reflexive64"].note
+    assert "of any kind" not in by_name["Abel64"].note
