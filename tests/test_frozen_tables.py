@@ -27,6 +27,8 @@ CONSTRUCTOR_SHA256 = "5a861200c5f274b3f6ea4d568476f5a6be855679f02ad573710e64c7cc
 
 CONSTRUCTOR_EXPRESSIONS = ("U(2,U(2,GF(2)))", "GA(GF(2,2),C4)", "GA(Zn(4),C2)", "M(2,GF(3))")
 
+TRI128_SHA256 = "7d2fbb52349ea2b8fc03d25063754ad2dac21833d23442f67da255de902b547c"
+
 PRESENTATIONS = (
     "F2<u,v>/(u^3,v^3,u^2+v^2+vu,vu^2+uvu+vuv)",  # order 512
     "F2<x>/(1)",  # order 1
@@ -53,3 +55,16 @@ def test_constructor_tables_match_the_frozen_digest():
     for e in CONSTRUCTOR_EXPRESSIONS:
         h.update(dumps_ring(parse_ring_expr(e)).encode())
     assert h.hexdigest() == CONSTRUCTOR_SHA256
+
+
+def test_tables_of_Tri128_and_Tri128op_match_the_label_free_digest():
+    # add, mul, zero and one of Tri128 and Tri128op, frozen when they were
+    # still glued from M(2,GF(2)) and GF(2) along the column module
+    h = hashlib.sha256()
+    for entry in corpus():
+        if entry.name in ("Tri128", "Tri128op"):
+            R = entry.build()
+            for table in (R.add, R.mul):
+                h.update(table.astype("<i8").tobytes())
+            h.update(f"{R.zero} {R.one}".encode())
+    assert h.hexdigest() == TRI128_SHA256
