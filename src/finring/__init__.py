@@ -1,9 +1,9 @@
 """finring: exact computation with small finite unital rings."""
 
 from .construct import (
+    block_triangular,
     cyclic,
     cyclic_group,
-    formal_triangular,
     from_structure_constants,
     galois,
     group_algebra,

@@ -1,8 +1,10 @@
 """Constructors for concrete small rings.
 
-Everything returns a RingTable that has passed verify_axioms.
-Provenance strings double as build recipes; where the ring-expression
-grammar can express a construction, the provenance is that expression.
+Everything returns a RingTable that has passed verify_axioms.  Each
+constructor states its ring by basis products, and its provenance is the
+ring expression (see expr.py) that builds it again, given coefficient rings
+and groups that the grammar names.  from_structure_constants is the one
+exception: its provenance is whatever the caller passes.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -157,10 +160,29 @@ def _monomial_algebra(R0: RingTable, one, products, label, provenance: str) -> R
     return checked(RingTable(n, labels, add, mul, int(zero), int(one), provenance))
 
 
-def _matrices(R0: RingTable, k: int, pos: list, name: str) -> RingTable:
-    """k x k matrices over R0 with free entries at pos, one coordinate each
-    in that order, and R0's zero everywhere else.  The basis is the matrix
-    units, E_ij * E_jl = E_il."""
+def _check_coordinates(m: int, b: int) -> None:
+    """Refuse matrices with b free entries over a ring of order m once
+    max(m, 2)^b passes MAX_ORDER, so the zero ring is bounded too.  It runs
+    before anything is allocated and formats neither b nor m^b."""
+    if max(m, 2) ** min(b, MAX_ORDER) > MAX_ORDER:
+        raise TableStructureError(
+            f"matrices over a ring of order {m} exceed cap {MAX_ORDER}: "
+            f"max({m}, 2)^b > {MAX_ORDER} for their b free entries"
+        )
+
+
+def _matrices(R0: RingTable, blocks: tuple, provenance: str) -> RingTable:
+    """Block upper triangular matrices over R0 with diagonal blocks of the
+    given sizes and R0's zero below them.  One coordinate per free entry,
+    ordered by block pairs (I, J) with I <= J row-major, then row-major inside
+    the block.  The basis is the matrix units, E_ij * E_jl = E_il."""
+    if not blocks or min(blocks) < 1:
+        raise TableStructureError(f"block sizes must be one or more positive ints, got {blocks}")
+    k = sum(blocks)
+    _check_coordinates(R0.order, (k * k + sum(s * s for s in blocks)) // 2)
+    edges = [0, *accumulate(blocks)]
+    span = [range(a, z) for a, z in zip(edges, edges[1:])]
+    pos = [(i, j) for I, rows in enumerate(span) for cols in span[I:] for i in rows for j in cols]
     at = {ij: t for t, ij in enumerate(pos)}
     units = (
         (s, u, at[i, l]) for s, (i, j) in enumerate(pos) for u, (j2, l) in enumerate(pos) if j == j2
@@ -175,19 +197,27 @@ def _matrices(R0: RingTable, k: int, pos: list, name: str) -> RingTable:
         return "[" + ",".join(rows) + "]"
 
     one = [R0.one if i == j else R0.zero for i, j in pos]
-    return _monomial_algebra(R0, one, units, label, f"{name}({k},{R0.provenance})")
+    return _monomial_algebra(R0, one, units, label, provenance)
 
 
 def matrix_ring(R0: RingTable, k: int) -> RingTable:
     """Full k x k matrix ring over R0, entries packed row-major."""
     k = int(k)
-    return _matrices(R0, k, [(i, j) for i in range(k) for j in range(k)], "M")
+    return _matrices(R0, (k,), f"M({k},{R0.provenance})")
 
 
 def upper_triangular(R0: RingTable, k: int) -> RingTable:
     """Upper triangular k x k matrices over R0 (diagonal included)."""
     k = int(k)
-    return _matrices(R0, k, [(i, j) for i in range(k) for j in range(k) if i <= j], "U")
+    _check_coordinates(R0.order, k * (k + 1) // 2)  # before (1,) * k is allocated
+    return _matrices(R0, (1,) * k, f"U({k},{R0.provenance})")
+
+
+def block_triangular(R0: RingTable, blocks: Sequence[int]) -> RingTable:
+    """Block upper triangular matrices over R0 with diagonal blocks of the
+    given sizes; blocks (2, 1) over GF(2) is the order-128 Tri128."""
+    blocks = tuple(int(s) for s in blocks)
+    return _matrices(R0, blocks, f"T({','.join(map(str, blocks))},{R0.provenance})")
 
 
 # -- group algebras -----------------------------------------------------------
@@ -298,122 +328,6 @@ def skew_quotient_f4() -> RingTable:
         xs = "x" if b == 1 else f"({f4[b]})x"
         labels += [f4[a] if not b else xs if not a else f"{f4[a]}+{xs}" for a in range(4)]
     return from_structure_constants([2] * 4, P, [1, 0, 0, 0], labels, "SkewF4x2()")
-
-
-@dataclass(frozen=True)
-class BimoduleSpec:
-    """An (A, B)-bimodule given by explicit tables.
-
-    add: m x m table of the module's abelian group; left_act[a, u] and
-    right_act[u, b] give the two actions.  validate() checks every bimodule
-    law exhaustively against the two rings.
-    """
-
-    add: np.ndarray
-    left_act: np.ndarray
-    right_act: np.ndarray
-    labels: tuple
-
-    @property
-    def order(self) -> int:
-        return self.add.shape[0]
-
-    def zero_index(self) -> int:
-        ids = np.arange(self.order)
-        for z in range(self.order):
-            if np.array_equal(self.add[z], ids):
-                return z
-        raise TableStructureError("module addition has no identity")
-
-    def validate(self, A: RingTable, B: RingTable) -> None:
-        madd, la, ra = self.add, self.left_act, self.right_act
-        m = self.order
-        if la.shape != (A.order, m) or ra.shape != (m, B.order):
-            raise TableStructureError("action table shapes do not match the rings")
-        if not np.array_equal(madd, madd.T):
-            raise TableStructureError("module addition not commutative")
-        if not np.array_equal(madd[madd, :], madd[:, madd]):
-            raise TableStructureError("module addition not associative")
-        z = self.zero_index()
-        ids = np.arange(m)
-        if not ((madd == z).any(axis=1)).all():
-            raise TableStructureError("module element without negative")
-        if not (np.array_equal(la[A.one], ids) and np.array_equal(ra[:, B.one], ids)):
-            raise TableStructureError("module actions not unital")
-        na = np.arange(A.order)
-        # (a1*a2).u == a1.(a2.u)
-        if not np.array_equal(la[A.mul, :], la[na[:, None, None], la[None, :, :]]):
-            raise TableStructureError("left action not associative")
-        # u.(b1*b2) == (u.b1).b2
-        if not np.array_equal(ra[:, B.mul], ra[ra]):
-            raise TableStructureError("right action not associative")
-        # a.(u+v) == a.u + a.v
-        if not np.array_equal(la[:, madd], madd[la[:, :, None], la[:, None, :]]):
-            raise TableStructureError("left action not additive in the module")
-        # (a1+a2).u == a1.u + a2.u
-        if not np.array_equal(la[A.add, :], madd[la[:, None, :], la[None, :, :]]):
-            raise TableStructureError("left action not additive in the ring")
-        # (u+v).b == u.b + v.b
-        if not np.array_equal(ra[madd, :], madd[ra[:, None, :], ra[None, :, :]]):
-            raise TableStructureError("right action not additive in the module")
-        # u.(b1+b2) == u.b1 + u.b2
-        if not np.array_equal(ra[:, B.add], madd[ra[:, :, None], ra[:, None, :]]):
-            raise TableStructureError("right action not additive in the ring")
-        # a.(u.b) == (a.u).b
-        if not np.array_equal(la[:, ra], ra[la, :]):
-            raise TableStructureError("left and right actions do not commute")
-
-
-def ring_bimodule(R: RingTable) -> BimoduleSpec:
-    """R itself as an (R, R)-bimodule via ring multiplication."""
-    return BimoduleSpec(add=R.add, left_act=R.mul, right_act=R.mul, labels=R.labels)
-
-
-def column_bimodule(field: RingTable, k: int):
-    """(matrix_ring(field,k), field)-bimodule of k-columns.
-
-    Returns (A, B, spec): matrices act on the left, scalars on the right.
-    """
-    A = matrix_ring(field, k)
-    B = field
-    q = field.order
-    grp = CoordGroup([q] * k)
-    U = grp.dec  # (m, k)
-    m = grp.n
-    madd = grp.encode(field.add[U[:, None, :], U[None, :, :]])
-    E = CoordGroup([q] * (k * k)).dec.reshape(A.order, k, k)
-    acc = None
-    for t in range(k):
-        term = field.mul[E[:, None, :, t], U[None, :, t, None]]
-        acc = term if acc is None else field.add[acc, term]
-    left = grp.encode(acc)  # (nA, m)
-    right = grp.encode(field.mul[U[:, :, None], np.arange(q)[None, None, :]].transpose(0, 2, 1))
-    labels = tuple("[" + ",".join(field.labels[c] for c in U[x]) + "]" for x in range(m))
-    return A, B, BimoduleSpec(add=madd, left_act=left, right_act=right, labels=labels)
-
-
-def formal_triangular(A: RingTable, B: RingTable, M: BimoduleSpec) -> RingTable:
-    """Triangular ring of triples (a, u, b): (a,u,b)(a',u',b') = (aa', a.u' + u.b', bb')."""
-    M.validate(A, B)
-    na, nb, m = A.order, B.order, M.order
-    n = na * m * nb
-    if n > MAX_ORDER:
-        raise TableStructureError(f"triangular ring order {n} exceeds cap {MAX_ORDER}")
-    grp = CoordGroup([na, m, nb])
-    a, u, b = grp.dec.T
-    add = grp.encode(np.stack([
-        A.add[a[:, None], a[None, :]], M.add[u[:, None], u[None, :]], B.add[b[:, None], b[None, :]]
-    ], -1))
-    mid = M.add[M.left_act[a[:, None], u[None, :]], M.right_act[u[:, None], b[None, :]]]
-    mul = grp.encode(np.stack([A.mul[a[:, None], a[None, :]], mid, B.mul[b[:, None], b[None, :]]], -1))
-    mz = M.zero_index()
-    zero = grp.encode(np.array([A.zero, mz, B.zero]))
-    one = grp.encode(np.array([A.one, mz, B.one]))
-    labels = [f"({A.labels[a[x]]}|{M.labels[u[x]]}|{B.labels[b[x]]})" for x in range(n)]
-    pa, pb = A.provenance or "A", B.provenance or "B"
-    return checked(
-        RingTable(n, labels, add, mul, int(zero), int(one), provenance=f"tri({pa},{pb},|M|={m})")
-    )
 
 
 def nonabelian_reflexive_64() -> RingTable:

@@ -1,7 +1,9 @@
 """Named ring catalogue and the full verification runner.
 
-Each entry records a construction recipe, the expected order, and the property
-values the ring is known to have.  Only known values are asserted; everything
+Each entry records a recipe, the expected order, and the property values the
+ring is known to have.  The recipe is a ring expression or presentation that
+parse_ring_expr builds, with no other construction path, and it is also the
+built ring's provenance.  Only known values are asserted; everything
 else the profile computes is reported as informative.  verify_corpus builds
 every entry, checks the expectations, and runs the cross-cutting invariant
 suites (radical agreement, the implication lattice, opposite-ring symmetry,
@@ -13,17 +15,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .construct import (
-    column_bimodule,
-    cyclic,
-    formal_triangular,
-    galois,
-    matrix_ring,
-)
+from .construct import galois, matrix_ring, upper_triangular
 from .peirce import _split_checks, peirce
 from .enumeration import enumerate_unital
 from .errors import FinringError
@@ -36,7 +31,6 @@ from .properties import (
     is_left_duo,
     is_reflexive,
     is_reversible,
-    is_right_duo,
     is_semicommutative,
     jacobson_radical,
     lower_nilradical,
@@ -46,29 +40,19 @@ from .properties import (
 from .table import RingTable, opposite
 
 
-def _tri128() -> RingTable:
-    """Triangular ring glueing 2x2 matrices over F2 to F2 by the column module."""
-    A, B, spec = column_bimodule(galois(2), 2)
-    return formal_triangular(A, B, spec)
-
-
-def _tri128_op() -> RingTable:
-    return opposite(_tri128())
-
-
 @dataclass(frozen=True)
 class CorpusEntry:
+    """A catalogued ring: recipe is its ring expression or presentation, which
+    build() parses; expects holds the property values known to hold."""
+
     name: str
     recipe: str
     order: int
     expects: dict
     note: str = ""
-    builder: Callable[[], RingTable] | None = None
     basis_span: tuple | None = None  # words that must additively span the ring
 
     def build(self) -> RingTable:
-        if self.builder is not None:
-            return self.builder()
         return parse_ring_expr(self.recipe)
 
 
@@ -156,15 +140,14 @@ def corpus() -> list:
         E("Reflexive64", "Reflexive64()", 64,
           dict(commutative=False, ni=True, abelian=False, reflexive=True),
           "smallest reflexive NI ring that is not abelian"),
-        E("Tri128", "tri(M(2,GF(2)),GF(2),columns)", 128,
+        E("Tri128", "T(2,1,GF(2))", 128,
           dict(ni=False, reflexive=False),
-          "formal triangular glue of 2x2 matrices over F2 and F2 along the "
-          "column bimodule; indecomposable, neither NI nor reflexive",
-          builder=_tri128),
-        E("Tri128op", "op(tri(M(2,GF(2)),GF(2),columns))", 128,
+          "3x3 matrices over F2 with diagonal blocks of sizes 2 and 1, that is "
+          "2x2 matrices over F2 glued to F2 by the columns F2^2; "
+          "indecomposable, neither NI nor reflexive"),
+        E("Tri128op", "op(T(2,1,GF(2)))", 128,
           dict(ni=False, reflexive=False),
-          "opposite of Tri128; not isomorphic to it",
-          builder=_tri128_op),
+          "opposite of Tri128; not isomorphic to it"),
         E("M2F2_U2F2", "sum(M(2,GF(2)),U(2,GF(2)))", 128,
           dict(ni=False, reflexive=False),
           "the decomposable order-128 ring that is neither NI nor reflexive"),
@@ -429,8 +412,6 @@ def _suite_enumeration(deep: bool) -> SuiteResult:
     if len(noncomm) != 1:
         s.violations.append(f"order 8: {len(noncomm)} noncommutative classes, expected 1")
     else:
-        from .construct import upper_triangular
-
         u2 = upper_triangular(galois(2), 2)
         s.checked += 1
         if not is_isomorphic(noncomm[0], u2):

@@ -6,6 +6,9 @@ One-line constructor syntax for the CLI and tests:
     GF(p[,k])      Galois field of order p^k
     M(k,e)         k x k matrices over e
     U(k,e)         k x k upper triangular matrices over e
+    T(b1,..,bm,e)  block upper triangular matrices over e with diagonal
+                   blocks of sizes b1..bm; M(k,e) is T(k,e) and U(k,e) is
+                   T(1,..,1,e) with k blocks
     GA(e,G)        group algebra of G over e; G is Q8 or Cn
     SkewF4x2()     F4[x;Frobenius]/(x^2)
     Reflexive64()  the order-64 reflexive nonabelian example
@@ -19,6 +22,7 @@ e.g. "F2<u,v>/(u^2,v^2,uv+vu)".
 from __future__ import annotations
 
 from .construct import (
+    block_triangular,
     cyclic,
     cyclic_group,
     galois,
@@ -70,14 +74,19 @@ class _Parser(Tokens):
                 return galois(p, k)
             except TableStructureError as exc:
                 raise ExpressionError(f"{exc} at position {pos}")
-        if name in ("M", "U"):
-            k, pos = self._int_arg()
-            if k < 1:
-                raise ExpressionError(f"{name} needs a positive size at position {pos}")
-            self.take(",")
+        if name in ("M", "U", "T"):
+            sizes = []
+            while not sizes or (name == "T" and self.peek().kind == "int"):
+                k, pos = self._int_arg()
+                if k < 1:
+                    raise ExpressionError(f"{name} needs a positive size at position {pos}")
+                sizes.append(k)
+                self.take(",")
             base = self._expr()
             self.take(")")
-            return matrix_ring(base, k) if name == "M" else upper_triangular(base, k)
+            if name == "T":
+                return block_triangular(base, sizes)
+            return (matrix_ring if name == "M" else upper_triangular)(base, sizes[0])
         if name == "GA":
             base = self._expr()
             self.take(",")

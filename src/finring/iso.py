@@ -47,6 +47,7 @@ def element_invariants(R: RingTable) -> np.ndarray:
         cols[:, 7] = zero.sum(axis=0)
         diag = R.mul[np.arange(n), np.arange(n)]
         cols[:, 8] = diag == np.arange(n)
+        cols.setflags(write=False)
         return cols
 
     return R.cached("element_invariants", build)

@@ -7,9 +7,9 @@ import pytest
 
 from finring import (
     TableStructureError,
+    block_triangular,
     cyclic,
     cyclic_group,
-    formal_triangular,
     from_structure_constants,
     galois,
     group_algebra,
@@ -28,12 +28,7 @@ from finring.iso import is_isomorphic
 from finring.table import RingTable, checked
 from finring.abelian import CoordGroup
 from finring.corpus import corpus
-from finring.construct import (
-    _least_irreducible,
-    _poly_divmod,
-    column_bimodule,
-    ring_bimodule,
-)
+from finring.construct import _least_irreducible, _poly_divmod
 from finring.table import additive_type
 
 
@@ -178,7 +173,9 @@ def _with_reference_fill(monkeypatch, build):
         return R, build()
 
 
-MONOMIAL_CATALOG = [e for e in corpus() if any(f in e.recipe for f in ("M(", "U(", "GA("))]
+MONOMIAL_CATALOG = [
+    e for e in corpus() if any(f in e.recipe for f in ("M(", "U(", "T(", "GA("))
+]
 
 
 @pytest.mark.parametrize("entry", MONOMIAL_CATALOG, ids=lambda e: e.name)
@@ -198,6 +195,15 @@ def test_monomial_tables_equal_the_tensor_oracle_when_zero_is_not_0(n, shift, bu
     R0 = _shifted_cyclic(n, shift)
     R, S = _with_reference_fill(monkeypatch, lambda: build(R0))
     assert R.zero != 0
+    assert R.table_equal(S)
+
+
+@pytest.mark.parametrize("blocks", [(2, 1), (1, 2)], ids=["T21", "T12"])
+def test_block_triangular_tables_equal_the_tensor_oracle_when_zero_is_not_0(blocks, monkeypatch):
+    # seven free entries: over Z2, since 3^7 is past the order cap
+    R0 = _shifted_cyclic(2, 1)
+    R, S = _with_reference_fill(monkeypatch, lambda: block_triangular(R0, blocks))
+    assert R.order == 128 and R.zero != 0
     assert R.table_equal(S)
 
 
@@ -247,18 +253,28 @@ def test_reflexive64_shape():
     assert not is_commutative(R)
 
 
-def test_formal_triangular_with_column_module():
-    A, B, spec = column_bimodule(galois(2), 2)
-    T = formal_triangular(A, B, spec)
-    assert T.order == 128
+def test_block_triangular_with_blocks_2_1_over_f2():
+    T = block_triangular(galois(2), (2, 1))
+    assert T.order == 128 and T.provenance == "T(2,1,GF(2))"
     assert verify_axioms(T).passed
+    # 3x3 labels whose entries (2, 0) and (2, 1), below the diagonal blocks, are 0
+    rows = [[row.split(",") for row in lb[2:-2].split("],[")] for lb in T.labels]
+    assert all(len(r) == 3 and all(len(e) == 3 for e in r) for r in rows)
+    assert sorted({tuple(r[2][:2]) for r in rows}) == [("0", "0")]
+    assert len(set(T.labels)) == 128
 
 
-def test_formal_triangular_with_ring_bimodule():
-    R = cyclic(2)
-    T = formal_triangular(R, R, ring_bimodule(R))
+@pytest.mark.parametrize("blocks", [(), (0,), (2, -1)])
+def test_block_triangular_refuses_a_block_size_below_one(blocks):
+    with pytest.raises(TableStructureError, match="block sizes"):
+        block_triangular(galois(2), blocks)
+
+
+def test_block_triangular_with_blocks_1_1_over_z2():
+    T = block_triangular(cyclic(2), (1, 1))
     assert T.order == 8
     assert verify_axioms(T).passed
+    assert T.table_equal(upper_triangular(cyclic(2), 2))
 
 
 def test_structure_constants_z4():

@@ -30,6 +30,11 @@ def test_every_entry_builds_at_its_stated_order():
             assert R.order == e.order, e.name
 
 
+@pytest.mark.parametrize("entry", corpus(), ids=lambda e: e.name)
+def test_every_recipe_is_its_rings_provenance(entry):
+    assert entry.build().provenance == entry.recipe
+
+
 def test_overall_pass(report):
     assert report.overall_pass is True
     assert all(e.passed for e in report.entries)

@@ -183,6 +183,7 @@ GRAMMAR_ORDERS = [
     ("SkewF4x2()", 16),
     ("Reflexive64()", 64),
     ("sum(M(2,GF(2)),U(2,GF(2)))", 128),
+    ("T(2,1,GF(2))", 128),
     ("op(U(2,GF(2)))", 8),
     ("sum(GF(2),GF(2),GF(2))", 8),
     ("M(2,Zn(1))", 1),
@@ -194,6 +195,15 @@ GRAMMAR_ORDERS = [
 @pytest.mark.parametrize("expr,order", GRAMMAR_ORDERS)
 def test_expression_orders(expr, order):
     assert parse_ring_expr(expr).order == order
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_block_is_m_and_unit_blocks_are_u(k):
+    # table_equal compares labels too
+    T, M = parse_ring_expr(f"T({k},GF(2))"), parse_ring_expr(f"M({k},GF(2))")
+    assert T.table_equal(M) and T.provenance == f"T({k},GF(2))"
+    units = ",".join(["1"] * k)
+    assert parse_ring_expr(f"T({units},GF(2))").table_equal(parse_ring_expr(f"U({k},GF(2))"))
 
 
 @pytest.mark.parametrize(
@@ -208,6 +218,8 @@ def test_expression_orders(expr, order):
         ("Zn(4) junk", "trailing"),
         ("GA(GF(2),D4)", "unknown group"),
         ("Zn(4) $", r"'\$' at position 6"),
+        ("T(GF(2))", "expected 'int' but found 'GF' at position 2"),
+        ("T(0,GF(2))", "T needs a positive size at position 2"),
     ],
 )
 def test_expression_errors_carry_position(expr, fragment):
@@ -215,14 +227,14 @@ def test_expression_errors_carry_position(expr, fragment):
         parse_ring_expr(expr)
 
 
-# GA(e,Cn) has |e|^n elements, and the n x n group table is built first: each
-# call must be refused before either grows, whatever the base
-OVERSIZED_GROUP_ALGEBRA = """
-import resource
+# each text must be refused before its tables, its support or its group
+# table grow, and before a huge order is formatted; prints the peak RSS growth
+REFUSED_BEFORE_ALLOCATION = """
+import resource, sys
 from finring.errors import TableStructureError
 from finring.expr import parse_ring_expr
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-for text in ("GA(GF(2),C200)", "GA(GF(2),C11)", "GA(Zn(1),C100000)", "GA(Zn(1),C11)"):
+for text in sys.argv[1:]:
     try:
         parse_ring_expr(text)
     except TableStructureError:
@@ -233,16 +245,35 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)
 """
 
 
-def test_an_oversized_group_algebra_is_refused_before_its_group_is_built():
+def _refused_peak_rss_mib(*texts):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", OVERSIZED_GROUP_ALGEBRA],
+        [sys.executable, "-c", REFUSED_BEFORE_ALLOCATION, *texts],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr + proc.stdout
-    assert int(proc.stdout) < 8  # MiB of peak RSS growth
+    return int(proc.stdout)
+
+
+# GA(e,Cn) has |e|^n elements, and the n x n group table is built first: each
+# call must be refused before either grows, whatever the base
+def test_an_oversized_group_algebra_is_refused_before_its_group_is_built():
+    texts = ("GA(GF(2),C200)", "GA(GF(2),C11)", "GA(Zn(1),C100000)", "GA(Zn(1),C11)")
+    assert _refused_peak_rss_mib(*texts) < 8
     assert parse_ring_expr("GA(Zn(1),C10)").order == 1
+
+
+# M(k,e), U(k,e) and T(b1,..,bm,e) have |e|^b elements for b free entries: each
+# is refused once max(|e|, 2)^b passes the cap, before its support is listed
+def test_oversized_matrices_are_refused_before_their_support_is_listed(capsys):
+    texts = ("M(8,Zn(1))", "U(11,Zn(1))", "M(120,GF(2))", "M(100000,GF(2))", "T(100000,1,GF(2))")
+    assert _refused_peak_rss_mib(*texts) < 8
+    assert parse_ring_expr("M(2,Zn(1))").order == parse_ring_expr("U(3,Zn(1))").order == 1
+    for text in ("M(8,Zn(1))", "M(120,GF(2))", "M(4,Zn(1))"):
+        assert main(["build", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 200, err
 
 
 def test_group_validation_finds_a_non_associative_operation():
