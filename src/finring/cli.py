@@ -6,13 +6,14 @@
     finring iso 'Zn(4)' 'F2<x>/(x^2)'
     finring enumerate 8 --census
     finring enumerate 27 --census
-    finring verify --deep
+    finring enumerate 16
+    finring verify
     finring export 'GA(GF(2),Q8)' --out f2q8.ringtab
     finring import f2q8.ringtab
 
-`enumerate` runs orders 2, 3, 4, 5, 7, 8, 9 and 27.  `verify` exits 0 only
-when every corpus expectation and invariant suite passes.  `--deep` applies
-to enumerate and verify and opts into the order-16 enumeration.
+`enumerate` runs orders 2, 3, 4, 5, 7, 8, 9, 16 and 27.  `verify` exits 0
+only when every corpus expectation and invariant suite passes.  Errors,
+including unreadable files, exit with status 2.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .table import RingTable
 
 def _load(text: str) -> RingTable:
     """A ring argument is a file path if it names a file, else an expression."""
-    if os.path.exists(text):
+    if os.path.isfile(text):
         return import_ring(text)
     return parse_ring_expr(text)
 
@@ -86,7 +87,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    rings = enumerate_unital(args.order, deep=args.deep)
+    rings = enumerate_unital(args.order)
     print(f"order {args.order}: {len(rings)} isomorphism classes")
     if args.census:
         print(taxonomy_census(rings).as_text())
@@ -99,7 +100,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rep = verify_corpus(deep=args.deep)
+    rep = verify_corpus()
     text = rep.as_kv() if args.kv else rep.as_text()
     print(text)
     if args.out:
@@ -128,10 +129,6 @@ def main(argv=None) -> int:
                                   description="finite unital ring computations")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def deep(p):
-        p.add_argument("--deep", action="store_true",
-                       help="opt into the order-16 enumeration")
-
     p = sub.add_parser("build", help="build a ring and show a summary")
     p.add_argument("expr", help="ring expression, presentation, or RINGTAB path")
     p.add_argument("--out", default=None, help="also export as RINGTAB")
@@ -156,13 +153,11 @@ def main(argv=None) -> int:
     p.add_argument("order", type=int)
     p.add_argument("--census", action="store_true", help="property census table")
     p.add_argument("--out", default=None, help="directory for RINGTAB exports")
-    deep(p)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the full expectation and invariant suite")
     p.add_argument("--kv", action="store_true", help="machine-readable output")
     p.add_argument("--out", default=None, help="write machine report to a file")
-    deep(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("export", help="write a ring as a RINGTAB file")
@@ -177,7 +172,7 @@ def main(argv=None) -> int:
     args = top.parse_args(argv)
     try:
         return args.fn(args)
-    except FinringError as exc:
+    except (FinringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

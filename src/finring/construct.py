@@ -250,10 +250,10 @@ class GroupTable:
             raise TableStructureError("group element without inverse")
 
 
-def cyclic_group(n: int, name: str = "") -> GroupTable:
+def cyclic_group(n: int) -> GroupTable:
     ids = np.arange(n)
     op = (ids[:, None] + ids[None, :]) % n
-    g = GroupTable(name or f"C{n}", n, tuple(f"g{i}" if i else "e" for i in ids), op, 0)
+    g = GroupTable(f"C{n}", n, tuple(f"g{i}" if i else "e" for i in ids), op, 0)
     g.validate()
     return g
 

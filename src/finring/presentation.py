@@ -36,7 +36,6 @@ class Presentation:
     base: str
     gens: tuple
     relations: tuple  # each relation: tuple of (word, coeff), word = gen index tuple
-    expected_order: Optional[int] = None
     text: str = ""
 
     @property
@@ -175,7 +174,7 @@ class _RelParser(Tokens):
         raise PresentationError(f"expected value, got {t.kind!r} at position {t.pos}")
 
 
-def parse_presentation(text: str, expected_order: Optional[int] = None) -> Presentation:
+def parse_presentation(text: str) -> Presentation:
     """Parse `base<gens>/(rel, rel, ...)` into a Presentation."""
     lt = text.find("<")
     if lt < 0:
@@ -214,7 +213,7 @@ def parse_presentation(text: str, expected_order: Optional[int] = None) -> Prese
     if pp.peek().kind != "end":
         t = pp.peek()
         raise PresentationError(f"trailing input at position {t.pos}")
-    return Presentation(base, gens, tuple(rels), expected_order, text.strip())
+    return Presentation(base, gens, tuple(rels), text.strip())
 
 
 # -- word bookkeeping ---------------------------------------------------------
@@ -371,15 +370,7 @@ def build_ring(P: Presentation, min_degree: Optional[int] = None) -> RingTable:
     of facts forces the table to be the universal quotient (it is a quotient
     of the presented algebra and vice versa), so acceptance is sound no
     matter which candidate fired first."""
-    g = len(P.gens)
-    spans = {}
-
-    def span(E):
-        if E not in spans:
-            spans[E] = bounded_ideal_span(P, E)
-        return spans[E]
-
-    bound = degree_bound(g)
+    bound = degree_bound(len(P.gens))
     reldeg = max(1, P.max_degree())
     dfloor = 1 if min_degree is None else max(1, min_degree)
     estart = max(reldeg, dfloor + 1)
@@ -387,7 +378,7 @@ def build_ring(P: Presentation, min_degree: Optional[int] = None) -> RingTable:
         raise PresentationError(f"relation degree {reldeg} beyond engine bound {bound}")
     rejects: list = []
     for E in range(estart, bound + 1):
-        HE = span(E)
+        HE = bounded_ideal_span(P, E)
         for D in range(dfloor, E):
             B = _harvest(HE, D + 1)
             if not _closed(B):
@@ -534,12 +525,9 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
         if acc != R.zero:
             return None, f"relation {rel} is nonzero in the candidate table"
 
-    if P.expected_order is not None and n != P.expected_order:
-        raise PresentationError(f"built order {n} != declared expected order {P.expected_order}")
-
     R._cache["presentation_build"] = PresentationBuild(P, D, cb.words, cb.ranges, B, gen_elts)
     return R, None
 
 
-def build_from_text(text: str, expected_order: Optional[int] = None) -> RingTable:
-    return build_ring(parse_presentation(text, expected_order))
+def build_from_text(text: str) -> RingTable:
+    return build_ring(parse_presentation(text))

@@ -105,6 +105,10 @@ def _parse(text: str, provenance: str) -> RingTable:
 
 
 def import_ring(path) -> RingTable:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise RingFormatError(f"non-ASCII byte {exc.object[exc.start]:#04x}; "
+                              "RINGTAB files are ASCII") from None
     return loads_ring(text, provenance=f"ringtab:{os.path.basename(str(path))}")

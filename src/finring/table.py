@@ -71,9 +71,11 @@ class RingTable:
         labels = tuple(str(lb) for lb in labels)
         if len(labels) != order:
             raise TableStructureError(f"got {len(labels)} labels for order {order}")
-        for lb in labels:
-            if not lb or any(ch.isspace() for ch in lb):
-                raise TableStructureError(f"label {lb!r} is empty or contains whitespace")
+        # str.split() splits on exactly the characters str.isspace() accepts
+        if " ".join(labels).split() != list(labels):
+            for lb in labels:
+                if not lb or any(ch.isspace() for ch in lb):
+                    raise TableStructureError(f"label {lb!r} is empty or contains whitespace")
         zero = int(zero)
         one = int(one)
         if not (0 <= zero < order and 0 <= one < order):

@@ -133,7 +133,7 @@ def test_criterion_04_enumeration_counts():
     assert len(noncomm8) == 1
     assert is_isomorphic(noncomm8[0], upper_triangular(galois(2), 2)).isomorphic
 
-    rings16 = enumerate_unital(16, deep=True)
+    rings16 = enumerate_unital(16)
     noncomm16 = [R for R in rings16 if (R.mul != R.mul.T).any()]
     assert len(noncomm16) == 13
     from finring.properties import is_ni, is_ps_i

@@ -23,7 +23,7 @@ from finring.table import _scan_axioms, direct_sum
 
 # class counts for each supported order, cross-checked against the
 # construction-side catalogs below
-CLASS_COUNTS = {2: 1, 3: 1, 4: 4, 5: 1, 7: 1, 8: 11, 9: 4, 27: 12}
+CLASS_COUNTS = {2: 1, 3: 1, 4: 4, 5: 1, 7: 1, 8: 11, 9: 4, 16: 50, 27: 12}
 
 
 @pytest.mark.parametrize("order", sorted(CLASS_COUNTS))
@@ -85,11 +85,6 @@ def test_prime_orders_yield_the_prime_field():
 def test_unsupported_order_is_an_error():
     with pytest.raises(FinringError, match="unsupported"):
         enumerate_unital(6)
-
-
-def test_long_order_requires_opt_in():
-    with pytest.raises(FinringError, match="deep=True"):
-        enumerate_unital(16)
 
 
 def test_census_summarizes_taxonomy():
@@ -186,7 +181,7 @@ def test_burnside_count_equals_the_number_of_orbits(searches):
 
 @pytest.mark.parametrize("order", ORBIT_ORDERS)
 def test_representatives_are_pairwise_non_isomorphic(order):
-    rings = enumerate_unital(order, deep=True)
+    rings = enumerate_unital(order)
     for R, S in itertools.combinations(rings, 2):
         assert is_isomorphic(R, S).isomorphic is False
 

@@ -44,7 +44,7 @@ def test_tables_match_the_frozen_digest():
     rings = [entry.build() for entry in corpus()]
     for n in (2, 3, 4, 5, 7, 8, 9):
         rings += enumerate_unital(n)
-    rings += enumerate_unital(16, deep=True)
+    rings += enumerate_unital(16)
     rings += [parse_ring_expr(e) for e in EXPRESSIONS]
     rings += [build_from_text(t) for t in PRESENTATIONS]
     assert len(rings) == 116

@@ -60,10 +60,9 @@ def test_coefficients_reduce_mod_base():
     assert P.relations == ((((0, 0), 1),),)
 
 
-def test_max_degree_and_expected_order_fields():
-    P = parse_presentation("F2<u,v>/(u^3,v^2)", expected_order=32)
+def test_max_degree_and_generator_fields():
+    P = parse_presentation("F2<u,v>/(u^3,v^2)")
     assert P.max_degree() == 3
-    assert P.expected_order == 32
     assert P.gens == ("u", "v")
 
 
@@ -99,7 +98,7 @@ KNOWN_ORDERS = [
 
 @pytest.mark.parametrize("text,order", KNOWN_ORDERS)
 def test_builds_at_cross_checked_order(text, order):
-    R = build_from_text(text, expected_order=order)
+    R = build_from_text(text)
     assert R.order == order
 
 
@@ -163,7 +162,7 @@ def test_socle_relation_cuts_512_down_to_the_reversible_256(four_rel_ring):
 
 
 def test_five_relation_text_builds_the_256_ring_directly():
-    R = build_from_text(FIVE_REL, expected_order=256)
+    R = build_from_text(FIVE_REL)
     assert R.order == 256
     assert is_reversible(R) is True
 
@@ -323,8 +322,3 @@ def test_powers_are_taken_by_repeated_squaring():
     # (1+2u)^2 = 1 over Z4, so every power of 1+2u is 1
     P = parse_presentation("Z4<u>/((1+2u)^1000000000)")
     assert P.relations == ((((), 1),),)
-
-
-def test_declared_order_mismatch_is_an_error():
-    with pytest.raises(PresentationError, match="declared expected order"):
-        build_from_text("F2<x>/(x^2)", expected_order=8)

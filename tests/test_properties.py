@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from finring.construct import cyclic, galois, matrix_ring, upper_triangular
 from finring.corpus import corpus
-from finring.enumeration import DEEP_ORDERS, SUPPORTED_ORDERS, enumerate_unital
+from finring.enumeration import SUPPORTED_ORDERS, enumerate_unital
 from finring.expr import parse_ring_expr
 from finring.presentation import build_from_text
 from finring.properties import (
@@ -326,8 +326,8 @@ def test_ps_i_is_evaluated_on_rings_of_order_256_and_512(text):
 def enumerated_rings():
     """Every enumerated ring of orders 2 to 27, and its opposite."""
     out = []
-    for order in SUPPORTED_ORDERS + DEEP_ORDERS:
-        for i, R in enumerate(enumerate_unital(order, deep=True)):
+    for order in SUPPORTED_ORDERS:
+        for i, R in enumerate(enumerate_unital(order)):
             out += [(f"order{order}[{i}]", R), (f"op(order{order}[{i}])", opposite(R))]
     return out
 

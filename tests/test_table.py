@@ -48,6 +48,14 @@ def test_rejects_out_of_range_entries():
         RingTable(2, ["0", "1"], add, mul, 0, 1)
 
 
+@pytest.mark.parametrize("bad", ["", "a b", "a\tb", "a\xa0b"])
+def test_rejects_an_empty_or_whitespace_label_by_name(bad):
+    R = cyclic(3)
+    with pytest.raises(TableStructureError) as exc:
+        RingTable(3, ["0", bad, "2"], R.add, R.mul, 0, 1)
+    assert str(exc.value) == f"label {bad!r} is empty or contains whitespace"
+
+
 def test_checked_catches_broken_distributivity():
     R = cyclic(4)
     mul = R.mul.copy()
