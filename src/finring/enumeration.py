@@ -29,6 +29,20 @@ of each orbit is built into a table and checked with verify_axioms.  No
 isomorphism search runs (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26, 1998; the tests check the orbit count against Burnside's
 lemma).
+
+The search itself runs from a fraction of row 0.  Let K be the elements of
+H that also fix e_1.  For k in K, k^-1(e_1) = e_1, so the image of slot
+(0, j) is k(g_0 k^-1(g_j)), a combination of g_0 and row 0: K acts on the
+row-0 assignments alone.  Row 0 comes first in the schedule and no check
+applies to it before column 0 is complete, so every row-0 assignment is
+listed, only the least of each K-orbit is kept (80 of 4096 on Z2^4), and
+the staircase search runs from those prefixes.  Every H-orbit of survivors
+holds one whose row 0 is K-least (carry any survivor by the k that makes
+its row 0 least), so the closure of the search's result under H's
+generators is the full survivor set, and the orbit permutations are read
+off the same images.  The least survivor of an orbit has a K-least row 0,
+since row 0 leads the order, so the representatives are those of the full
+search.
 """
 
 from __future__ import annotations
@@ -146,16 +160,20 @@ class _GroupSearch:
         return lhs == rhs
 
     # grid cap: a batch whose (parent, candidate) grid exceeds it is split.  A
-    # process running the order-16 enumeration peaks near 38 MiB at 1 << 17
-    # grid entries and near 42 MiB at 1 << 18, at about the same speed; the
-    # survivor search slows below 1 << 16.
+    # process running the order-16 enumeration peaks near 35 MiB at 1 << 17
+    # grid entries and near 36 MiB at 1 << 18, at about the same speed from
+    # 1 << 14 up (2 vCPUs, Python 3.11, numpy 2.4).
     _BATCH_LIMIT = 1 << 17
 
     def survivors(self) -> np.ndarray:
         """All associative structure-constant assignments, shape (m, nslots)."""
+        return self._search([(0, np.zeros((1, 0), dtype=np.int16))])
+
+    def _search(self, stack) -> np.ndarray:
+        """Every associative completion of the (pos, assign) entries on the
+        stack, each assign holding slots 0..pos-1, shape (m, nslots)."""
         nslots = len(self.schedule)
         done = []
-        stack = [(0, np.zeros((1, 0), dtype=np.int16))]
         while stack:
             pos, assign = stack.pop()
             if pos == nslots:
@@ -256,13 +274,21 @@ class _GroupSearch:
                 inside[frontier] = True
         return H[gens]
 
+    def _radix(self, width: int) -> np.ndarray:
+        """The place values of an assignment of the given width in base n."""
+        n = self.G.n
+        if n**width >= 1 << 63:
+            raise FinringError(f"{width} slots over {n} elements do not pack into int64")
+        return n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
     def _codes(self, rows) -> np.ndarray:
         """One int64 per assignment, ordered as the rows are lexicographically."""
-        n, nslots = self.G.n, len(self.schedule)
-        if n**nslots >= 1 << 63:
-            raise FinringError(f"{nslots} slots over {n} elements do not pack into int64")
-        radix = n ** np.arange(nslots - 1, -1, -1, dtype=np.int64)
-        return np.asarray(rows, dtype=np.int64) @ radix
+        rows = np.asarray(rows, dtype=np.int64)
+        return rows @ self._radix(rows.shape[1])
+
+    def _rows(self, codes) -> np.ndarray:
+        """The full assignments with the given codes, as int16."""
+        return (codes[:, None] // self._radix(len(self.schedule)) % self.G.n).astype(np.int16)
 
     def _bilinear_transport(self, rows, h) -> np.ndarray:
         """The assignments h carries the given ones to: the ring with basis
@@ -272,20 +298,25 @@ class _GroupSearch:
         i, j = np.array(self.schedule, dtype=np.int64).reshape(-1, 2).T
         return prod[:, i + 1, j + 1]
 
-    def transport(self, rows, h) -> np.ndarray:
-        """_bilinear_transport by lookup.  h is additive and the product is
-        bilinear in the basis products, so image slot t is
-        c_t + sum_s phi_{s,t}(x_s).  c is the image of the zero assignment and
-        c_t + phi_{s,t}(v) that of the assignment with x_s = v alone."""
+    def lookup(self, h):
+        """(c, phi) with _bilinear_transport(x, h) at slot t equal to
+        c_t + sum_s phi[s, x_s, t]: h is additive and the product is bilinear
+        in the basis products.  c is the image of the zero assignment and
+        c_t + phi[s, v, t] that of the assignment with x_s = v alone."""
         G, n, nslots = self.G, self.G.n, len(self.schedule)
         probes = np.zeros((1 + nslots * n, nslots), dtype=np.int64)
         probes[1 + np.arange(nslots * n), np.repeat(np.arange(nslots), n)] = np.tile(np.arange(n), nslots)
         img = self._bilinear_transport(probes, h)
         c = img[0]
-        phi = G.encode(G.dec[img[1:]] - G.dec[c]).reshape(nslots, n, nslots)
-        add = G.add.ravel()
+        return c, G.encode(G.dec[img[1:]] - G.dec[c]).reshape(nslots, n, nslots)
+
+    def transport(self, rows, lookup) -> np.ndarray:
+        """_bilinear_transport by the (c, phi) of lookup(h), over the first
+        len(phi) slots of rows."""
+        c, phi = lookup
+        n, add = self.G.n, self.G.add.ravel()
         out = np.repeat(c[None, :], len(rows), axis=0)
-        for s in range(nslots):
+        for s in range(len(phi)):
             out = add.take(out * n + phi[s].take(rows[:, s], axis=0))
         return out
 
@@ -296,20 +327,71 @@ class _GroupSearch:
         codes = self._codes(rows)
         perms = []
         for h in self.generators(self.stabiliser()):
-            image = self._codes(self.transport(rows, h))
+            image = self._codes(self.transport(rows, self.lookup(h)))
             at = np.minimum(np.searchsorted(codes, image), len(codes) - 1)
             if (codes[at] != image).any():
                 raise InternalCheckError("an automorphism fixing 1 maps a survivor outside the survivors")
             perms.append(at)
-        least = np.arange(len(rows))
-        while True:
-            before = least
-            for p in perms:
-                least = np.minimum(least, least[p])
-                least[p] = np.minimum(least[p], least)
-            least = least[least]
-            if np.array_equal(least, before):
-                return least
+        return _least(perms, len(rows))
+
+    def classes(self):
+        """np.unique(survivors(), axis=0) and orbits() of it, searched from the
+        K-least row-0 prefixes only and closed under H."""
+        H = self.stabiliser()
+        if self.r < 2:
+            # K fixes e_0 and e_1, which then generate G, so K is trivial
+            found = self.survivors()
+        else:
+            # column 0 ends after row 0, so no check applies to a row-0 prefix
+            found = self._search([(self.r, self._least_prefixes(H))])
+        return self._closure(found, self.generators(H))
+
+    def _least_prefixes(self, H) -> np.ndarray:
+        """The row-0 assignments that are least in their K-orbit."""
+        r, e1 = self.r, self.basis_elts[1]
+        prefixes = np.stack([v.ravel() for v in np.meshgrid(*self.omega[:r], indexing="ij")], axis=1)
+        codes = self._codes(prefixes)
+        perms = []
+        for k in self.generators(H[H[:, e1] == e1]):
+            c, phi = self.lookup(k)
+            # k fixes e_1, so image slot (0, j) = k(g_0 k^-1(g_j)) reads row 0 only
+            image = self.transport(prefixes, (c[:r], phi[:r, :, :r]))
+            perms.append(np.searchsorted(codes, self._codes(image)))
+        return prefixes[_least(perms, len(prefixes)) == np.arange(len(prefixes))]
+
+    def _closure(self, found, gens):
+        """The closure of the assignments found under gens, sorted, and the
+        index of the least row in each row's orbit.  Each row is carried by
+        each generator once, and the permutations are read off those images."""
+        lookups = [self.lookup(h) for h in gens]
+        known = np.unique(self._codes(found))
+        frontier, moves = known, []
+        while len(frontier):
+            rows = self._rows(frontier)
+            images = [self._codes(self.transport(rows, L)) for L in lookups]
+            moves.append((frontier, images))
+            frontier = np.setdiff1d(np.array(images, dtype=np.int64), known)
+            known = np.union1d(known, frontier)
+        perms = [np.empty(len(known), dtype=np.intp) for _ in gens]
+        for source, images in moves:
+            at = np.searchsorted(known, source)
+            for perm, image in zip(perms, images):
+                perm[at] = np.searchsorted(known, image)
+        return self._rows(known), _least(perms, len(known))
+
+
+def _least(perms, m) -> np.ndarray:
+    """For permutations of range(m), the least index in each index's orbit
+    under the group they generate, by propagation to a fixed point."""
+    least = np.arange(m)
+    while True:
+        before = least
+        for p in perms:
+            least = np.minimum(least, least[p])
+            least[p] = np.minimum(least[p], least)
+        least = least[least]
+        if np.array_equal(least, before):
+            return least
 
 
 def enumerate_unital(order: int, deep: bool = False, seed=None):
@@ -333,8 +415,7 @@ def _classes(order: int):
     """One checked table per isomorphism class, group by group."""
     for factors in abelian_groups_of_order(order):
         search = _GroupSearch(factors)
-        rows = np.unique(search.survivors(), axis=0)
-        least = search.orbits(rows)
+        rows, least = search.classes()
         for row in rows[least == np.arange(len(rows))]:
             T = search.table(row)
             report = verify_axioms(T)

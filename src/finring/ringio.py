@@ -30,8 +30,14 @@ def dumps_ring(R: RingTable) -> str:
 
 
 def export_ring(R: RingTable, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_ring(R))
+    # encoded before the file is opened, so a refused ring leaves no file
+    try:
+        data = dumps_ring(R).encode("ascii")
+    except UnicodeEncodeError:
+        label = next(label for label in R.labels if not label.isascii())
+        raise RingFormatError(f"label {label!r} is not ASCII; RINGTAB files are ASCII") from None
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _intline(lines, i, key, lo, hi):

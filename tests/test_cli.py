@@ -89,6 +89,16 @@ def test_file_errors_exit_2_with_a_message(argv, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["export", "build"])
+def test_a_non_ascii_label_exits_2_and_leaves_no_file(command, tmp_path, capsys):
+    path = tmp_path / "x.ringtab"
+    assert main([command, "F2<\u00e9>/(\u00e9^2)", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "label '\u00e9' is not ASCII" in err
+    assert not path.exists()
+
+
 def _readme_commands():
     text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

@@ -149,18 +149,43 @@ def test_stabiliser_is_every_automorphism_fixing_one(searches):
     assert sizes[(3, 3, 3)] == 432
 
 
+def generated(gens, n):
+    """The element permutations that gens generate, by closure from the identity."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        reached = {tuple(g[x] for x in h) for h in frontier for g in gens}
+        frontier = list(reached - group)
+        group |= reached
+    return group
+
+
 def test_generators_generate_the_stabiliser(searches):
     for _, factors, search, _, _ in searches:
         H = search.stabiliser()
-        group = {tuple(range(search.G.n))}
-        frontier = list(group)
         gens = search.generators(H).tolist()
         assert len(gens) <= max(1, len(H)).bit_length()
-        while frontier:
-            reached = {tuple(g[x] for x in h) for h in frontier for g in gens}
-            frontier = list(reached - group)
-            group |= reached
-        assert group == {tuple(h) for h in H.tolist()}, factors
+        assert generated(gens, search.G.n) == {tuple(h) for h in H.tolist()}, factors
+
+
+def stabiliser_of_e1(search):
+    H = search.stabiliser()
+    e1 = search.basis_elts[1]
+    return H[H[:, e1] == e1]
+
+
+def test_generators_generate_the_stabiliser_of_e1(searches):
+    # K, the elements of H that also fix e_1, whose orbits on row 0 prune the search
+    sizes = {}
+    for _, factors, search, _, _ in searches:
+        if search.r < 1:
+            continue
+        K = stabiliser_of_e1(search)
+        gens = search.generators(K).tolist()
+        assert len(gens) <= max(1, len(K)).bit_length()
+        assert generated(gens, search.G.n) == {tuple(k) for k in K.tolist()}, factors
+        sizes[factors] = len(K)
+    assert sizes[(2, 2, 2, 2)] == 96 and sizes[(2, 2)] == 1 and sizes[(3, 3, 3)] == 18
 
 
 def test_burnside_count_equals_the_number_of_orbits(searches):
@@ -206,7 +231,7 @@ def test_each_generator_carries_tables_onto_tables(searches):
     for _, factors, search, rows, _ in searches:
         picks = rows[rng.choice(len(rows), min(len(rows), 12), replace=False)]
         for h in search.generators(search.stabiliser()):
-            images = search.transport(picks, h)
+            images = search.transport(picks, search.lookup(h))
             for row, image in zip(picks, images):
                 T, U = search.table(row), search.table(image)
                 grid = np.ix_(h, h)
@@ -217,7 +242,7 @@ def test_each_generator_carries_tables_onto_tables(searches):
 def test_lookup_transport_equals_the_bilinear_transport(searches):
     for _, factors, search, rows, _ in searches:
         for h in search.generators(search.stabiliser()):
-            assert np.array_equal(search.transport(rows, h), search._bilinear_transport(rows, h)), factors
+            assert np.array_equal(search.transport(rows, search.lookup(h)), search._bilinear_transport(rows, h)), factors
 
 
 def test_an_image_outside_the_survivors_is_an_internal_error():
@@ -227,6 +252,61 @@ def test_an_image_outside_the_survivors_is_an_internal_error():
     moved = np.flatnonzero(least != np.arange(len(rows)))[0]
     with pytest.raises(InternalCheckError, match="outside the survivors"):
         search.orbits(np.delete(rows, moved, axis=0))
+
+
+# -- the pruned path: search from the K-least row-0 prefixes, close under H ---
+
+
+def test_classes_equal_the_full_search_and_its_orbits(searches):
+    # every group of the orbit orders, and the order-32 groups the map table admits
+    cases = [(factors, search, rows, least) for _, factors, search, rows, least in searches]
+    for factors in ((32,), (16, 2), (8, 4), (8, 2, 2), (4, 4, 2), (4, 2, 2, 2)):
+        search = _GroupSearch(factors)
+        rows = np.unique(search.survivors(), axis=0)
+        cases.append((factors, search, rows, search.orbits(rows)))
+    for factors, search, rows, least in cases:
+        got_rows, got_least = search.classes()
+        assert got_rows.dtype == rows.dtype, factors
+        assert np.array_equal(got_rows, rows), factors
+        assert np.array_equal(got_least, least), factors
+
+
+def test_the_row_0_image_under_k_reads_row_0_only(searches):
+    # image slot (0, j) = k(g_0 k^-1(g_j)) for k fixing e_1, so the other
+    # slots may hold anything, associative or not
+    rng = np.random.default_rng(22)
+    for _, factors, search, _, _ in searches:
+        r = search.r
+        if r < 2:
+            continue
+        row0 = np.stack([rng.choice(c, 50) for c in search.omega[:r]], axis=1)
+        for k in search.generators(stabiliser_of_e1(search)):
+            lookup = search.lookup(k)
+            images = []
+            for _ in range(4):
+                rest = np.stack([rng.choice(c, 50) for c in search.omega[r:]], axis=1)
+                images.append(search.transport(np.concatenate([row0, rest], axis=1), lookup)[:, :r])
+            assert all(np.array_equal(im, images[0]) for im in images), factors
+
+
+def test_the_pruned_search_keeps_the_k_least_prefixes_only():
+    search = _GroupSearch((2, 2, 2, 2))
+    prefixes = search._least_prefixes(search.stabiliser())
+    assert prefixes.shape == (80, 3)
+    assert len(search._search([(search.r, prefixes)])) == 828
+    assert len(search.classes()[0]) == 8184
+
+
+def test_enumerating_order_16_stays_small():
+    # the full survivor search and its orbit step peaked at 5.6 MiB
+    enumerate_unital(16)
+    tracemalloc.start()
+    try:
+        enumerate_unital(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 # -- oracles for the fast survivor search and the bilinear product ------------
@@ -321,9 +401,10 @@ def survivor_digest(rows):
 
 def test_order_32_group_4222_survivors_are_pinned():
     # computed with the per-coordinate check that the map table replaced
-    rows = np.unique(_GroupSearch((4, 2, 2, 2)).survivors(), axis=0)
-    assert rows.shape == (16192, 9)
-    assert survivor_digest(rows) == "b2704c9620ab8996f2f7f8b64c058b151bb5f99dd283caf88ce891aefe86765a"
+    search = _GroupSearch((4, 2, 2, 2))
+    for rows in (np.unique(search.survivors(), axis=0), search.classes()[0]):
+        assert rows.shape == (16192, 9)
+        assert survivor_digest(rows) == "b2704c9620ab8996f2f7f8b64c058b151bb5f99dd283caf88ce891aefe86765a"
 
 
 # sha256 over the shape and int16 bytes of each group's sorted survivors,
@@ -341,11 +422,13 @@ SURVIVOR_SHA256 = {
 
 
 def test_survivors_match_the_frozen_digests(searches):
-    got = {}
-    for order, factors, _, rows, _ in searches:
+    got, closed = {}, {}
+    for order, factors, search, rows, _ in searches:
         if order in (16, 27):
             got[factors] = survivor_digest(rows)
+            closed[factors] = survivor_digest(search.classes()[0])
     assert got == SURVIVOR_SHA256
+    assert closed == SURVIVOR_SHA256
 
 
 def double_loop_bilinear(G, P, x, y):
