@@ -16,11 +16,12 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .properties import _closure, _nilpotency_index, jacobson_radical
-from .table import RingTable, additive_type
+from .table import RingTable, _memoised, additive_type
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
+@_memoised
 def element_invariants(R: RingTable) -> np.ndarray:
     """(n, 9) matrix of per-element isomorphism invariants.
 
@@ -29,50 +30,41 @@ def element_invariants(R: RingTable) -> np.ndarray:
     The one-sided sizes |xR| and |Rx| separate a ring from its opposite
     even when every two-sided count agrees.
     """
-
-    def build():
-        n = R.order
-        cols = np.empty((n, 9), dtype=np.int64)
-        cols[:, 0] = R.additive_order
-        cols[:, 1] = R.unit_mask
-        cols[:, 2] = _nilpotency_index(R)
-        cols[:, 3] = R.central_mask
-        # distinct entries per row (|xR|) and per column (|Rx|) of the sorted table
-        rows = np.sort(R.mul, axis=1)
-        cols[:, 4] = 1 + (rows[:, 1:] != rows[:, :-1]).sum(axis=1)
-        columns = np.sort(R.mul, axis=0)
-        cols[:, 5] = 1 + (columns[1:] != columns[:-1]).sum(axis=0)
-        zero = R.mul == R.zero
-        cols[:, 6] = zero.sum(axis=1)
-        cols[:, 7] = zero.sum(axis=0)
-        diag = R.mul[np.arange(n), np.arange(n)]
-        cols[:, 8] = diag == np.arange(n)
-        cols.setflags(write=False)
-        return cols
-
-    return R.cached("element_invariants", build)
+    n = R.order
+    cols = np.empty((n, 9), dtype=np.int64)
+    cols[:, 0] = R.additive_order
+    cols[:, 1] = R.unit_mask
+    cols[:, 2] = _nilpotency_index(R)
+    cols[:, 3] = R.central_mask
+    # distinct entries per row (|xR|) and per column (|Rx|) of the sorted table
+    rows = np.sort(R.mul, axis=1)
+    cols[:, 4] = 1 + (rows[:, 1:] != rows[:, :-1]).sum(axis=1)
+    columns = np.sort(R.mul, axis=0)
+    cols[:, 5] = 1 + (columns[1:] != columns[:-1]).sum(axis=0)
+    zero = R.mul == R.zero
+    cols[:, 6] = zero.sum(axis=1)
+    cols[:, 7] = zero.sum(axis=0)
+    diag = R.mul[np.arange(n), np.arange(n)]
+    cols[:, 8] = diag == np.arange(n)
+    return cols
 
 
+@_memoised
 def fingerprint(R: RingTable) -> tuple:
     """Hashable isomorphism invariant; unequal fingerprints mean unequal rings."""
-
-    def build():
-        inv = element_invariants(R)
-        classes = {}
-        for row in inv:
-            key = tuple(int(v) for v in row)
-            classes[key] = classes.get(key, 0) + 1
-        return (
-            ("order", R.order),
-            ("characteristic", R.characteristic),
-            ("additive", additive_type(R)),
-            ("commutative", bool((R.mul == R.mul.T).all())),
-            ("center_size", int(R.central_mask.sum())),
-            ("jacobson_size", len(jacobson_radical(R))),
-            ("element_classes", tuple(sorted(classes.items()))),
-        )
-
-    return R.cached("fingerprint", build)
+    classes = {}
+    for row in element_invariants(R):
+        key = tuple(int(v) for v in row)
+        classes[key] = classes.get(key, 0) + 1
+    return (
+        ("order", R.order),
+        ("characteristic", R.characteristic),
+        ("additive", additive_type(R)),
+        ("commutative", bool((R.mul == R.mul.T).all())),
+        ("center_size", int(R.central_mask.sum())),
+        ("jacobson_size", len(jacobson_radical(R))),
+        ("element_classes", tuple(sorted(classes.items()))),
+    )
 
 
 def _class_ids(R: RingTable) -> dict:
@@ -83,6 +75,7 @@ def _class_ids(R: RingTable) -> dict:
     return out
 
 
+@_memoised
 def _spanning_trace(R: RingTable):
     """Greedy unital generating set plus the op log that rebuilds the ring.
 
@@ -178,7 +171,7 @@ def is_isomorphic(R: RingTable, S: RingTable, node_budget: int = DEFAULT_NODE_BU
         if va != vb:
             return IsoResult(False, None, f"fingerprint:{ka}")
 
-    gens, segments, trace_elems = R.cached("spanning_trace", lambda: _spanning_trace(R))
+    gens, segments, trace_elems = _spanning_trace(R)
     inv_R = element_invariants(R)
     classes_S = _class_ids(S)
     cand = [classes_S[tuple(int(v) for v in inv_R[g])] for g in gens]

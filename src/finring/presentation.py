@@ -9,8 +9,8 @@ the surviving coset basis.  For n elements over s basis words, only the rows
 of the pure elements c*e_a are computed in coordinates, O(n s^2) for each
 basis word; every other entry is one gather from an n x n table, O(n^2) in
 all, with no (n, n, s) array.  Correctness is enforced after the fact: the
-table must pass the full axiom scan, every relation must evaluate to zero in
-the built ring, and any declared expected order must match.
+table must pass the full axiom scan, and every relation must evaluate to zero
+in the built ring.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ the is_* wrappers just test for None.  The predicates on zero products
 (symmetric, semicommutative, reflexive, PS I) read the zero set of each
 element as a bitset row, so each costs O(n^2 * n/64) word operations instead
 of an O(n^3) gather.  Radicals, bitsets and other derived tables are
-memoised on the ring instance.
+memoised on the ring instance by table._memoised, which states the memo rule.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .table import (
     ElementSet,
     RingTable,
     _additive_generators,
+    _memoised,
     _row_blocks,
     additive_type,
     ideal_generated,
@@ -41,6 +42,7 @@ def _closure(mask: np.ndarray, *tables) -> np.ndarray:
         mask = new
 
 
+@_memoised
 def _nilpotency_index(R: RingTable) -> np.ndarray:
     """Per element: least k with x^k = 0, or 0 when x is not nilpotent.
 
@@ -50,95 +52,71 @@ def _nilpotency_index(R: RingTable) -> np.ndarray:
     = 0), each of index at least 2.  So n.bit_length() powers suffice, and
     for the zero ring its single power does.
     """
-
-    def build():
-        n = R.order
-        base = np.arange(n, dtype=np.int16)
-        cur = base.copy()
-        out = np.zeros(n, dtype=np.int64)
-        for k in range(1, n.bit_length() + 1):
-            hit = (cur == R.zero) & (out == 0)
-            out[hit] = k
-            cur = R.mul[cur, base]
-        out.setflags(write=False)
-        return out
-
-    return R.cached("nilpotency_index", build)
+    n = R.order
+    base = np.arange(n, dtype=np.int16)
+    cur = base.copy()
+    out = np.zeros(n, dtype=np.int64)
+    for k in range(1, n.bit_length() + 1):
+        hit = (cur == R.zero) & (out == 0)
+        out[hit] = k
+        cur = R.mul[cur, base]
+    return out
 
 
-def _cached_set(R: RingTable, key: str, build) -> ElementSet:
-    # R caches only the members: an ElementSet refers back to R, so caching it
-    # would keep R alive, after its last use, until a full garbage collection
-    return ElementSet(R, R.cached(key, lambda: build().members))
-
-
+@_memoised
 def nilpotent_set(R: RingTable) -> ElementSet:
     """All x with x^k = 0 for some k."""
-    return _cached_set(
-        R,
-        "nilpotent_set",
-        lambda: ElementSet.from_iterable(R, np.flatnonzero(_nilpotency_index(R) > 0)),
-    )
+    return ElementSet.from_iterable(R, np.flatnonzero(_nilpotency_index(R) > 0))
 
 
+@_memoised
 def jacobson_radical(R: RingTable) -> ElementSet:
     """{x : 1 - r*x is a unit for every r}; checked to be a nil two-sided ideal."""
-
-    def build():
-        vals = R.add[R.one, R.neg[R.mul]]  # vals[r, x] = 1 - r*x
-        mask = R.unit_mask[vals].all(axis=0)
-        out = ElementSet.from_iterable(R, np.flatnonzero(mask))
-        nil = nilpotent_set(R)
-        if not out.members <= nil.members:
-            raise InternalCheckError("jacobson radical contains a non-nilpotent element")
-        if not out.is_ideal():
-            raise InternalCheckError("jacobson radical is not a two-sided ideal")
-        return out
-
-    return _cached_set(R, "jacobson_radical", build)
+    vals = R.add[R.one, R.neg[R.mul]]  # vals[r, x] = 1 - r*x
+    mask = R.unit_mask[vals].all(axis=0)
+    out = ElementSet.from_iterable(R, np.flatnonzero(mask))
+    nil = nilpotent_set(R)
+    if not out.members <= nil.members:
+        raise InternalCheckError("jacobson radical contains a non-nilpotent element")
+    if not out.is_ideal():
+        raise InternalCheckError("jacobson radical is not a two-sided ideal")
+    return out
 
 
+@_memoised
 def upper_nilradical(R: RingTable) -> ElementSet:
     """Sum of all nil two-sided ideals, accumulated over nil principal ideals."""
-
-    def build():
-        nil = nilpotent_set(R).mask
-        acc = np.zeros(R.order, dtype=bool)
-        acc[R.zero] = True
-        for x in np.flatnonzero(nil):
-            if acc[x]:
-                continue
-            I = ideal_generated(R, [int(x)])
-            if not nil[I.indices()].all():
-                continue
-            acc |= I.mask
-            acc = _closure(acc, R.add)
-        out = ElementSet.from_iterable(R, np.flatnonzero(acc))
-        if not nil[out.indices()].all() or not out.is_ideal():
-            raise InternalCheckError("upper nilradical accumulation broke ideal/nil state")
-        return out
-
-    return _cached_set(R, "upper_nilradical", build)
+    nil = nilpotent_set(R).mask
+    acc = np.zeros(R.order, dtype=bool)
+    acc[R.zero] = True
+    for x in np.flatnonzero(nil):
+        if acc[x]:
+            continue
+        I = ideal_generated(R, [int(x)])
+        if not nil[I.indices()].all():
+            continue
+        acc |= I.mask
+        acc = _closure(acc, R.add)
+    out = ElementSet.from_iterable(R, np.flatnonzero(acc))
+    if not nil[out.indices()].all() or not out.is_ideal():
+        raise InternalCheckError("upper nilradical accumulation broke ideal/nil state")
+    return out
 
 
+@_memoised
 def lower_nilradical(R: RingTable) -> ElementSet:
     """Prime radical via the ascending chain I' = ideal({x : xRx inside I})."""
-
-    def build():
-        n = R.order
-        # sandwich[x, r] = (x*r)*x, fixed across iterations
-        sandwich = R.mul[R.mul, np.arange(n, dtype=np.int16)[:, None]]
-        mask = np.zeros(n, dtype=bool)
-        mask[R.zero] = True
-        while True:
-            cand = mask[sandwich].all(axis=1)
-            new = ideal_generated(R, np.flatnonzero(cand)).mask
-            if (new == mask).all():
-                break
-            mask = new
-        return ElementSet.from_iterable(R, np.flatnonzero(mask))
-
-    return _cached_set(R, "lower_nilradical", build)
+    n = R.order
+    # sandwich[x, r] = (x*r)*x, fixed across iterations
+    sandwich = R.mul[R.mul, np.arange(n, dtype=np.int16)[:, None]]
+    mask = np.zeros(n, dtype=bool)
+    mask[R.zero] = True
+    while True:
+        cand = mask[sandwich].all(axis=1)
+        new = ideal_generated(R, np.flatnonzero(cand)).mask
+        if (new == mask).all():
+            return ElementSet.from_iterable(R, np.flatnonzero(mask))
+        mask = new
 
 
 # -- witness scans ------------------------------------------------------------
@@ -157,19 +135,14 @@ def reduced_witness(R: RingTable):
     return (int(hits[0]),) if len(hits) else None
 
 
+@_memoised
 def _zero_bits(R: RingTable) -> np.ndarray:
     """Z[x] is the bitset {c : x*c = 0}: bit c of the row is bit c % 64 of
     word c // 64, in ceil(n/64) uint64 words, with the padding bits zero."""
-
-    def build():
-        n = R.order
-        packed = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
-        packed[:, : -(-n // 8)] = np.packbits(R.mul == R.zero, axis=1, bitorder="little")
-        Z = packed.view("<u8")
-        Z.setflags(write=False)
-        return Z
-
-    return R.cached("zero_bits", build)
+    n = R.order
+    packed = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(R.mul == R.zero, axis=1, bitorder="little")
+    return packed.view("<u8")
 
 
 def symmetric_witness(R: RingTable):
@@ -199,6 +172,7 @@ def reversible_witness(R: RingTable):
     return None
 
 
+@_memoised
 def _zero_row_bits(R: RingTable) -> np.ndarray:
     """Row a is the bitset r-ann(aR): the AND of Z[a*g] over g in G and 0.
 
@@ -207,30 +181,20 @@ def _zero_row_bits(R: RingTable) -> np.ndarray:
     once it holds for every g in G.  Z[a*0] holds every element, so the AND
     is also right when G is empty (the zero ring).
     """
-
-    def build():
-        n, Z = R.order, _zero_bits(R)
-        cols = R.mul[:, [R.zero, *_additive_generators(R)]]
-        out = np.empty_like(Z)
-        for a0, a1 in _row_blocks(n, n * cols.shape[1]):
-            np.bitwise_and.reduce(Z[cols[a0:a1]], axis=1, out=out[a0:a1])
-        out.setflags(write=False)
-        return out
-
-    return R.cached("zero_row_bits", build)
+    n, Z = R.order, _zero_bits(R)
+    cols = R.mul[:, [R.zero, *_additive_generators(R)]]
+    out = np.empty_like(Z)
+    for a0, a1 in _row_blocks(n, n * cols.shape[1]):
+        np.bitwise_and.reduce(Z[cols[a0:a1]], axis=1, out=out[a0:a1])
+    return out
 
 
+@_memoised
 def _zero_row_products(R: RingTable) -> np.ndarray:
     """Q[a, b] true iff a*r*b = 0 for every r: row a is r-ann(aR), unpacked
     from _zero_row_bits."""
-
-    def build():
-        bits = _zero_row_bits(R).view(np.uint8)
-        Q = np.unpackbits(bits, axis=1, count=R.order, bitorder="little").view(bool)
-        Q.setflags(write=False)
-        return Q
-
-    return R.cached("zero_row_products", build)
+    bits = _zero_row_bits(R).view(np.uint8)
+    return np.unpackbits(bits, axis=1, count=R.order, bitorder="little").view(bool)
 
 
 def semicommutative_witness(R: RingTable):

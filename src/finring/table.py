@@ -3,11 +3,12 @@
 Elements of a ring of order n are the indices 0..n-1.  Both operations are
 stored as full n x n lookup tables, so every structural question reduces to
 array indexing.  Tables are immutable once constructed; all derived data is
-memoised on the instance.
+memoised on the instance by `_memoised`, the one place the memo rule lives.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -52,6 +53,39 @@ def _as_table(arr, n: int, name: str) -> np.ndarray:
     return t
 
 
+def _memoised(fn):
+    """fn(R), computed once per ring and kept in R._cache under fn's qualified name.
+
+    An ndarray is stored read-only.  An ElementSet is stored as its members
+    and rewrapped on each call: it refers back to R, so storing it would keep
+    R alive, after its last use, until a full garbage collection.
+    """
+    key = fn.__qualname__
+
+    @functools.wraps(fn)
+    def memoised(R):
+        cache = R._cache
+        if key not in cache:
+            out = fn(R)
+            if isinstance(out, np.ndarray):
+                out.setflags(write=False)
+            elif isinstance(out, ElementSet):
+                out = out.members
+            cache[key] = out
+        out = cache[key]
+        return ElementSet(R, out) if type(out) is frozenset else out
+
+    return memoised
+
+
+def _element(R: RingTable, x) -> int:
+    """x as an element index of R; IndexError when it lies outside 0..n-1."""
+    x = int(x)
+    if not 0 <= x < R.order:
+        raise IndexError(f"element index {x} outside 0..{R.order - 1}")
+    return x
+
+
 class RingTable:
     """A finite unital ring given by dense addition and multiplication tables.
 
@@ -89,94 +123,61 @@ class RingTable:
         self.provenance = str(provenance)
         self._cache = {}
 
-    # -- basics ------------------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def label(self, x: int) -> str:
-        return self.labels[x]
-
-    def cached(self, key: str, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
     @property
+    @_memoised
     def neg(self) -> np.ndarray:
         """neg[x] is the additive inverse of x."""
-
-        def build():
-            rows, cols = np.nonzero(self.add == self.zero)
-            out = np.empty(self.order, dtype=_DTYPE)
-            out[rows] = cols
-            out.setflags(write=False)
-            return out
-
-        return self.cached("neg", build)
+        rows, cols = np.nonzero(self.add == self.zero)
+        out = np.empty(self.order, dtype=_DTYPE)
+        out[rows] = cols
+        return out
 
     @property
+    @_memoised
     def additive_order(self) -> np.ndarray:
         """additive_order[x] is the least k >= 1 with k*x = 0."""
-
-        def build():
-            n = self.order
-            out = np.zeros(n, dtype=np.int64)
-            cur = np.arange(n, dtype=_DTYPE)
-            ids = np.arange(n, dtype=_DTYPE)
-            k = 1
-            while True:
-                hit = (cur == self.zero) & (out == 0)
-                out[hit] = k
-                if (out > 0).all():
-                    break
-                cur = self.add[cur, ids]
-                k += 1
-                if k > n:
-                    raise InternalCheckError("additive order exceeded ring order")
-            out.setflags(write=False)
-            return out
-
-        return self.cached("additive_order", build)
+        n = self.order
+        out = np.zeros(n, dtype=np.int64)
+        cur = np.arange(n, dtype=_DTYPE)
+        ids = np.arange(n, dtype=_DTYPE)
+        k = 1
+        while True:
+            hit = (cur == self.zero) & (out == 0)
+            out[hit] = k
+            if (out > 0).all():
+                return out
+            cur = self.add[cur, ids]
+            k += 1
+            if k > n:
+                raise InternalCheckError("additive order exceeded ring order")
 
     @property
     def characteristic(self) -> int:
         return int(self.additive_order[self.one])
 
     @property
+    @_memoised
     def unit_mask(self) -> np.ndarray:
         """Boolean mask of two-sided units."""
-
-        def build():
-            m = self.inverse >= 0
-            m.setflags(write=False)
-            return m
-
-        return self.cached("unit_mask", build)
+        return self.inverse >= 0
 
     @property
+    @_memoised
     def inverse(self) -> np.ndarray:
         """inverse[x] is the two-sided inverse of x, or -1 when x is not a unit."""
-
-        def build():
-            two_sided = (self.mul == self.one) & (self.mul.T == self.one)
-            out = np.where(two_sided.any(axis=1), two_sided.argmax(axis=1), -1)
-            out.setflags(write=False)
-            return out
-
-        return self.cached("inverse", build)
+        two_sided = (self.mul == self.one) & (self.mul.T == self.one)
+        return np.where(two_sided.any(axis=1), two_sided.argmax(axis=1), -1)
 
     @property
+    @_memoised
     def central_mask(self) -> np.ndarray:
-        def build():
-            m = (self.mul == self.mul.T).all(axis=1)
-            m.setflags(write=False)
-            return m
-
-        return self.cached("central_mask", build)
+        return (self.mul == self.mul.T).all(axis=1)
 
     def pow(self, x: int, k: int) -> int:
         """x**k for k >= 1 (k = 0 gives the unity)."""
+        x = _element(self, x)
+        if k < 0:
+            raise ValueError(f"exponent {k} is negative")
         if k == 0:
             return self.one
         acc = x
@@ -186,6 +187,7 @@ class RingTable:
 
     def smul(self, k: int, x: int) -> int:
         """Integer multiple k*x in the additive group."""
+        x = _element(self, x)
         k %= int(self.additive_order[x])
         acc = self.zero
         for _ in range(k):
@@ -250,9 +252,6 @@ class ElementSet:
         idx = self.indices()
         m = self.mask
         return bool(m[R.mul[:, idx]].all() and m[R.mul[idx, :]].all())
-
-    def labels(self) -> list:
-        return [self.ring.labels[x] for x in sorted(self.members)]
 
 
 @dataclass
@@ -344,41 +343,35 @@ def _scan_axioms(R: RingTable) -> AxiomReport:
     return AxiomReport(passed=not violations, violations=violations)
 
 
+@_memoised
 def _additive_generators(R: RingTable):
     """Greedy G such that every element is a left-nested sum (..((0+g1)+g2)..)+gm over G.
 
-    Returns G as a read-only intp array, cached on R, or None once |G|
-    exceeds n.bit_length(), which no group reaches: in a group each new
-    generator at least doubles the span.  Each element joins the span once
-    and queues |G| sums, so the search for each generator's span takes at
-    most n * (|G| + 1) steps.
+    Returns G as an intp array, or None once |G| exceeds n.bit_length(),
+    which no group reaches: in a group each new generator at least doubles
+    the span.  Each element joins the span once and queues |G| sums, so the
+    search for each generator's span takes at most n * (|G| + 1) steps.
     """
-
-    def build():
-        n = R.order
-        inside = [False] * n
-        inside[R.zero] = True
-        reached = 1
-        gens, cols = [], []
-        while reached < n:
-            g = inside.index(False)
-            gens.append(g)
-            if len(gens) > n.bit_length():
-                return None
-            cols.append(R.add[:, g].tolist())
-            # the old span is closed under the old generators, so only s+g is new
-            queue = [cols[-1][x] for x in range(n) if inside[x]]
-            while queue:
-                y = queue.pop()
-                if not inside[y]:
-                    inside[y] = True
-                    reached += 1
-                    queue.extend(col[y] for col in cols)
-        out = np.array(gens, dtype=np.intp)
-        out.setflags(write=False)
-        return out
-
-    return R.cached("additive_generators", build)
+    n = R.order
+    inside = [False] * n
+    inside[R.zero] = True
+    reached = 1
+    gens, cols = [], []
+    while reached < n:
+        g = inside.index(False)
+        gens.append(g)
+        if len(gens) > n.bit_length():
+            return None
+        cols.append(R.add[:, g].tolist())
+        # the old span is closed under the old generators, so only s+g is new
+        queue = [cols[-1][x] for x in range(n) if inside[x]]
+        while queue:
+            y = queue.pop()
+            if not inside[y]:
+                inside[y] = True
+                reached += 1
+                queue.extend(col[y] for col in cols)
+    return np.array(gens, dtype=np.intp)
 
 
 def _laws_hold_on_generators(R: RingTable) -> bool:
@@ -511,7 +504,7 @@ def ideal_generated(R: RingTable, seeds: Iterable[int]) -> ElementSet:
     mask = np.zeros(n, dtype=bool)
     mask[R.zero] = True
     for s in seeds:
-        mask[int(s)] = True
+        mask[_element(R, s)] = True
     while True:
         cur = np.flatnonzero(mask)
         new = mask.copy()
@@ -526,7 +519,7 @@ def ideal_generated(R: RingTable, seeds: Iterable[int]) -> ElementSet:
 
 def right_annihilator(R: RingTable, a: int) -> ElementSet:
     """{t : x*t = 0 for every x in the right ideal aR}.  Always a two-sided ideal."""
-    aR = np.unique(R.mul[int(a), :])
+    aR = np.unique(R.mul[_element(R, a), :])
     ann = np.flatnonzero((R.mul[np.ix_(aR, np.arange(R.order))] == R.zero).all(axis=0))
     out = ElementSet.from_iterable(R, ann)
     if not out.is_ideal():

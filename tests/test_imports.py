@@ -1,6 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses, and
+only table.py handles the per-ring memo.
 
-__init__.py is skipped, since its imports are the package's re-exports.
+__init__.py is skipped by the import check, since its imports are the
+package's re-exports.
 """
 
 import ast
@@ -10,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "finring"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+NOT_TABLE = sorted(p for p in SRC.glob("*.py") if p.name != "table.py")
 
 
 def unused_imports(source: str) -> list:
@@ -34,3 +37,51 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def memo_handling(source: str) -> list:
+    """(line, what) for each .setflags( call and each ._cache access.
+
+    The one allowed access is presentation's build record, set at build time
+    rather than derived on demand: R._cache["presentation_build"] or
+    R._cache.get("presentation_build").
+    """
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        key = None
+        if isinstance(node, ast.Subscript):
+            key, cache = node.slice, node.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and node.args
+        ):
+            key, cache = node.args[0], node.func.value
+        if isinstance(key, ast.Constant) and key.value == "presentation_build":
+            allowed.add(id(cache))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in allowed:
+            if node.attr == "_cache":
+                found.append((node.lineno, "._cache"))
+            elif node.attr == "setflags":
+                found.append((node.lineno, ".setflags("))
+    return sorted(found)
+
+
+def test_the_check_finds_memo_handling():
+    source = (
+        "def f(R, a):\n"
+        "    a.setflags(write=False)\n"
+        "    R._cache['x'] = a\n"
+        "    R._cache['presentation_build'] = a\n"
+        "    return R._cache.get('presentation_build')\n"
+    )
+    assert memo_handling(source) == [(2, ".setflags("), (3, "._cache")]
+
+
+@pytest.mark.parametrize("path", NOT_TABLE, ids=lambda p: p.name)
+def test_only_table_handles_the_memo(path):
+    assert memo_handling(path.read_text()) == []

@@ -16,15 +16,17 @@ from finring.iso import (
     fingerprint,
     is_isomorphic,
 )
+from finring.peirce import peirce
 from finring.presentation import build_from_text
 from finring.properties import (
     _closure,
     jacobson_radical,
     lower_nilradical,
     nilpotent_set,
+    profile,
     upper_nilradical,
 )
-from finring.table import RingTable, opposite
+from finring.table import RingTable, opposite, verify_axioms
 
 
 def relabel(R, seed):
@@ -74,6 +76,15 @@ def test_element_invariants_shape():
     assert not np.array_equal(inv[R.zero], inv[R.one])
 
 
+def memoised_arrays(value):
+    """Every ndarray in a memoised value, looking inside tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from memoised_arrays(item)
+
+
 def test_element_invariants_are_read_only():
     R = cyclic(4)
     inv = element_invariants(R)
@@ -81,6 +92,20 @@ def test_element_invariants_are_read_only():
         inv[:, 0] = 1
     assert is_isomorphic(R, cyclic(4)).isomorphic is True
     assert is_isomorphic(R, R).isomorphic is True
+    # and so is every other array memoised on a ring
+    rings = [e.build() for e in corpus() if e.order <= 64] + enumerate_unital(8)
+    for R in rings:
+        assert verify_axioms(R).passed
+        profile(R)
+        fingerprint(R)
+        assert is_isomorphic(R, R).isomorphic is True
+        peirce(R)
+        # the presentation build record is set when the ring is built, not memoised
+        memo = [v for k, v in R._cache.items() if k != "presentation_build"]
+        arrays = list(memoised_arrays(memo))
+        assert arrays, R.provenance
+        for arr in arrays:
+            assert not arr.flags.writeable, R.provenance
 
 
 def test_one_sided_sizes_equal_the_distinct_entries_of_each_row_and_column():

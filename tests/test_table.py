@@ -163,6 +163,27 @@ def test_smul_and_pow():
     assert R.pow(3, 0) == R.one
 
 
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda R: ideal_generated(R, [-1]), IndexError, "-1"),
+        (lambda R: ideal_generated(R, [5]), IndexError, "5"),
+        (lambda R: right_annihilator(R, -1), IndexError, "-1"),
+        (lambda R: right_annihilator(R, 5), IndexError, "5"),
+        (lambda R: R.pow(-1, 2), IndexError, "-1"),
+        (lambda R: R.smul(2, -1), IndexError, "-1"),
+        (lambda R: R.pow(2, -1), ValueError, "-1"),
+    ],
+    ids=[
+        "ideal_generated-neg", "ideal_generated-n", "right_annihilator-neg",
+        "right_annihilator-n", "pow-neg-element", "smul-neg-element", "pow-neg-exponent",
+    ],
+)
+def test_out_of_range_element_indices_and_negative_exponents_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call(cyclic(5))
+
+
 def test_labels_must_not_contain_whitespace():
     with pytest.raises(TableStructureError):
         RingTable(2, ["0", "a b"], cyclic(2).add, cyclic(2).mul, 0, 1)
