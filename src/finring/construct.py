@@ -19,7 +19,7 @@ import numpy as np
 
 from .abelian import CoordGroup, digit_tables, product_tables
 from .errors import InternalCheckError, TableStructureError
-from .table import MAX_ORDER, RingTable, _row_blocks, checked
+from .table import MAX_ORDER, RingTable, _first_triple, checked
 
 
 def cyclic(n: int) -> RingTable:
@@ -238,11 +238,8 @@ class GroupTable:
         n = self.order
         if op.shape != (n, n):
             raise TableStructureError("group table shape mismatch")
-        # (xy)z against x(yz) a block of x at a time, not as one n^3 array
-        for a0, a1 in _row_blocks(n, n * n):
-            rows = op[a0:a1]
-            if not np.array_equal(op[rows], rows[:, op]):
-                raise TableStructureError("group operation not associative")
+        if _first_triple(n, lambda a0, a1: op[op[a0:a1]] != op[a0:a1][:, op]) is not None:
+            raise TableStructureError("group operation not associative")
         ids = np.arange(n)
         if not (np.array_equal(op[self.identity], ids) and np.array_equal(op[:, self.identity], ids)):
             raise TableStructureError("group identity broken")

@@ -52,10 +52,6 @@ def element_invariants(R: RingTable) -> np.ndarray:
 @_memoised
 def fingerprint(R: RingTable) -> tuple:
     """Hashable isomorphism invariant; unequal fingerprints mean unequal rings."""
-    classes = {}
-    for row in element_invariants(R):
-        key = tuple(int(v) for v in row)
-        classes[key] = classes.get(key, 0) + 1
     return (
         ("order", R.order),
         ("characteristic", R.characteristic),
@@ -63,15 +59,14 @@ def fingerprint(R: RingTable) -> tuple:
         ("commutative", bool((R.mul == R.mul.T).all())),
         ("center_size", int(R.central_mask.sum())),
         ("jacobson_size", len(jacobson_radical(R))),
-        ("element_classes", tuple(sorted(classes.items()))),
+        ("element_classes", tuple(sorted((k, len(v)) for k, v in _class_ids(R).items()))),
     )
 
 
 def _class_ids(R: RingTable) -> dict:
-    inv = element_invariants(R)
     out = {}
-    for x in range(R.order):
-        out.setdefault(tuple(int(v) for v in inv[x]), []).append(x)
+    for x, row in enumerate(element_invariants(R).tolist()):
+        out.setdefault(tuple(row), []).append(x)
     return out
 
 

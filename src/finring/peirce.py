@@ -25,6 +25,7 @@ from .properties import (
 from .table import (
     ElementSet,
     RingTable,
+    _first,
     central_idempotents,
     idempotents,
     projection_map,
@@ -218,9 +219,9 @@ def _verify_split_model(D: Decomposition) -> None:
         R.mul[sa[:, None], sa[None, :]],
         R.add[R.mul[sa[:, None], ua[None, :]], R.mul[ua[:, None], sa[None, :]]],
     ]
-    if not np.array_equal(lhs, rhs):
-        bad = np.argwhere(lhs != rhs)[0]
-        raise InternalCheckError(f"split multiplication model fails at pair {tuple(bad)}")
+    bad = _first(lhs != rhs)
+    if bad is not None:
+        raise InternalCheckError(f"split multiplication model fails at pair {bad}")
 
 
 @dataclass

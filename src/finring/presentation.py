@@ -323,7 +323,7 @@ def _closed(M: ModuleMatrix) -> bool:
 
 
 def _harvest(M: ModuleMatrix, d: int) -> ModuleMatrix:
-    """Rows supported entirely on words of degree <= d, over that column block.
+    """Rows supported entirely on words of degree <= d <= M.degree, over that column block.
 
     With columns in descending deg-lex order the low-degree words form a
     trailing coordinate block, and a Howell form spans every trailing-block
@@ -331,18 +331,12 @@ def _harvest(M: ModuleMatrix, d: int) -> ModuleMatrix:
     Needed when a relation rewrites a word into one of higher degree (for
     example v^2 -> u^3): reducing v^k then transits through words of degree
     k+1, and the top-degree block of a single bounded span never closes even
-    though the lower blocks are complete."""
-    if d >= M.degree:
-        return M
-    ncd = _ncols(M.ngens, d)
-    off = M.ncols - ncd
+    though the lower blocks are complete.  Those rows, with their pivots
+    shifted into the block, are already the block's Howell form."""
+    off = M.ncols - _ncols(M.ngens, d)
     keep = [i for i, (c, _) in enumerate(M.pivots) if c >= off]
-    if keep:
-        rows = M.rows[np.array(keep)][:, off:]
-    else:
-        rows = np.zeros((0, ncd), dtype=np.int64)
-    H, piv = howell(rows, M.q)
-    return ModuleMatrix(H, M.q, d, M.ngens, piv)
+    pivots = [(c - off, v) for c, v in M.pivots if c >= off]
+    return ModuleMatrix(M.rows[keep, off:], M.q, d, M.ngens, pivots)
 
 
 @dataclass

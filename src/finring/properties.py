@@ -2,7 +2,8 @@
 
 Every predicate is decided exactly on the operation tables; the *_witness
 functions return the lexicographically first violating tuple or None, and
-the is_* wrappers just test for None.  The predicates on zero products
+the is_* wrappers just test for None.  table._first picks that first
+violation, row-major, for every witness.  The predicates on zero products
 (symmetric, semicommutative, reflexive, PS I) read the zero set of each
 element as a bitset row, so each costs O(n^2 * n/64) word operations instead
 of an O(n^3) gather.  Radicals, bitsets and other derived tables are
@@ -20,6 +21,9 @@ from .table import (
     ElementSet,
     RingTable,
     _additive_generators,
+    _first,
+    _first_triple,
+    _ideal_witness,
     _memoised,
     _row_blocks,
     additive_type,
@@ -123,16 +127,14 @@ def lower_nilradical(R: RingTable) -> ElementSet:
 
 
 def commutative_witness(R: RingTable):
-    bad = np.argwhere(R.mul != R.mul.T)
-    return (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
+    return _first(R.mul != R.mul.T)
 
 
 def reduced_witness(R: RingTable):
     """Nonzero x with x*x = 0, if any."""
     n = R.order
     diag = R.mul[np.arange(n), np.arange(n)]
-    hits = np.flatnonzero((diag == R.zero) & (np.arange(n) != R.zero))
-    return (int(hits[0]),) if len(hits) else None
+    return _first((diag == R.zero) & (np.arange(n) != R.zero))
 
 
 @_memoised
@@ -148,28 +150,23 @@ def _zero_bits(R: RingTable) -> np.ndarray:
 def symmetric_witness(R: RingTable):
     """(a, b, c) with abc = 0 but bac != 0, the least in lexicographic order.
 
-    (a, b) is flagged when Z[ab] & ~Z[ba] is nonzero; the padding bits are
-    zero in Z[ab], so they never flag.
+    The scan flags word k of Z[ab] & ~Z[ba] when it is nonzero, and c is
+    the lowest set bit of the first flagged word; the padding bits are zero
+    in Z[ab], so they never flag.
     """
-    n, mul, Z = R.order, R.mul, _zero_bits(R)
-    for a0, a1 in _row_blocks(n, n * n):
-        diff = Z[mul[a0:a1]] & ~Z[mul.T[a0:a1]]  # [a, b, word]
-        hit = diff.any(axis=2)
-        if hit.any():
-            a, b = np.argwhere(hit)[0]
-            bits = np.unpackbits(diff[a, b].view(np.uint8), bitorder="little")
-            return (int(a) + a0, int(b), int(bits.argmax()))
-    return None
+    mul, Z = R.mul, _zero_bits(R)
+    w = _first_triple(R.order, lambda a0, a1: (Z[mul[a0:a1]] & ~Z[mul.T[a0:a1]]) != 0)
+    if w is None:
+        return None
+    a, b, k = w
+    word = int(Z[mul[a, b], k] & ~Z[mul[b, a], k])
+    return (a, b, 64 * k + (word & -word).bit_length() - 1)
 
 
 def reversible_witness(R: RingTable):
     """(a, b) with ab = 0 but ba != 0."""
     P = R.mul == R.zero
-    viol = P & ~P.T
-    if viol.any():
-        a, b = np.argwhere(viol)[0]
-        return (int(a), int(b))
-    return None
+    return _first(P & ~P.T)
 
 
 @_memoised
@@ -199,24 +196,23 @@ def _zero_row_products(R: RingTable) -> np.ndarray:
 
 def semicommutative_witness(R: RingTable):
     """(a, r, b) with ab = 0 but arb != 0."""
-    viol = (R.mul == R.zero) & ~_zero_row_products(R)
-    if not viol.any():
+    w = _first((R.mul == R.zero) & ~_zero_row_products(R))
+    if w is None:
         return None
-    a, b = np.argwhere(viol)[0]
-    arb = R.mul[R.mul[a, :], b]
-    return (int(a), int(np.flatnonzero(arb != R.zero)[0]), int(b))
+    a, b = w
+    (r,) = _first(R.mul[R.mul[a, :], b] != R.zero)
+    return (a, r, b)
 
 
 def reflexive_witness(R: RingTable):
     """(a, b, r) with aRb = 0 but b*r*a != 0."""
     Q = _zero_row_products(R)
-    viol = Q & ~Q.T
-    if not viol.any():
+    w = _first(Q & ~Q.T)
+    if w is None:
         return None
-    a, b = np.argwhere(viol)[0]
-    bra = R.mul[R.mul[b, :], a]
-    r = int(np.flatnonzero(bra != R.zero)[0])
-    return (int(a), int(b), r)
+    a, b = w
+    (r,) = _first(R.mul[R.mul[b, :], a] != R.zero)
+    return (a, b, r)
 
 
 def _duo_witness(mul: np.ndarray):
@@ -225,11 +221,7 @@ def _duo_witness(mul: np.ndarray):
     rows = np.arange(n)[:, None]
     in_aR = np.zeros((n, n), dtype=bool)
     in_aR[rows, mul] = True
-    ok = in_aR[rows, mul.T]  # [a, b]: is b*a in aR
-    if ok.all():
-        return None
-    a, b = np.argwhere(~ok)[0]
-    return (int(a), int(b))
+    return _first(~in_aR[rows, mul.T])  # [a, b]: is b*a outside aR
 
 
 def right_duo_witness(R: RingTable):
@@ -244,50 +236,24 @@ def left_duo_witness(R: RingTable):
 
 def abelian_witness(R: RingTable):
     """(e, r) with e idempotent and er != re."""
-    for e in idempotents(R):
-        if not R.central_mask[e]:
-            r = int(np.flatnonzero(R.mul[e, :] != R.mul[:, e])[0])
-            return (int(e), r)
-    return None
+    return _first(idempotents(R).mask[:, None] & (R.mul != R.mul.T))
 
 
 def ni_witness(R: RingTable):
-    """Violation of N(R) being a two-sided ideal."""
-    nil = nilpotent_set(R)
-    m = nil.mask
-    idx = nil.indices()
-    sums = R.add[np.ix_(idx, idx)]
-    bad = np.argwhere(~m[sums])
-    if len(bad):
-        i, j = bad[0]
-        return ("sum", int(idx[i]), int(idx[j]))
-    left = np.argwhere(~m[R.mul[:, idx]])
-    if len(left):
-        r, i = left[0]
-        return ("lmul", int(r), int(idx[i]))
-    right = np.argwhere(~m[R.mul[idx, :]])
-    if len(right):
-        i, r = right[0]
-        return ("rmul", int(idx[i]), int(r))
-    return None
+    """Violation of N(R) being a two-sided ideal, as table._ideal_witness names it."""
+    return _ideal_witness(R, nilpotent_set(R).mask)
 
 
 def two_primal_witness(R: RingTable):
     """Nilpotent element outside the prime radical, if any."""
-    diff = nilpotent_set(R).members - lower_nilradical(R).members
-    return (min(diff),) if diff else None
+    return _first(nilpotent_set(R).mask & ~lower_nilradical(R).mask)
 
 
 def local_witness(R: RingTable):
     """(x, y) nonunits with x + y a unit; None when nonunits form an ideal."""
-    nonunit = ~R.unit_mask
-    idx = np.flatnonzero(nonunit)
-    sums = R.add[np.ix_(idx, idx)]
-    bad = np.argwhere(R.unit_mask[sums])
-    if len(bad):
-        i, j = bad[0]
-        return (int(idx[i]), int(idx[j]))
-    return None
+    idx = np.flatnonzero(~R.unit_mask)
+    w = _first(R.unit_mask[R.add[np.ix_(idx, idx)]])
+    return None if w is None else (int(idx[w[0]]), int(idx[w[1]]))
 
 
 def is_commutative(R):

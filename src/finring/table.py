@@ -4,6 +4,8 @@ Elements of a ring of order n are the indices 0..n-1.  Both operations are
 stored as full n x n lookup tables, so every structural question reduces to
 array indexing.  Tables are immutable once constructed; all derived data is
 memoised on the instance by `_memoised`, the one place the memo rule lives.
+Every witness of a broken law or failed predicate is the first violation in
+row-major order, as `_first` picks it, the one place the witness rule lives.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ _BLOCK_ENTRIES = 1 << 21
 _DTYPE = np.int16
 
 
+def _first(bad: np.ndarray):
+    """Row-major index of the first True entry of bad, as a tuple of ints, or None."""
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+
+
 def _as_table(arr, n: int, name: str) -> np.ndarray:
     t = np.asarray(arr)
     if t.ndim == 1 and t.size == n * n:
@@ -44,10 +53,8 @@ def _as_table(arr, n: int, name: str) -> np.ndarray:
     if not np.issubdtype(t.dtype, np.integer):
         raise TableStructureError(f"{name} table must be integer, got dtype {t.dtype}")
     if t.size and (t.min() < 0 or t.max() >= n):
-        bad = np.argwhere((t < 0) | (t >= n))[0]
-        raise TableStructureError(
-            f"{name} table entry at {tuple(bad)} is {t[tuple(bad)]}, outside 0..{n - 1}"
-        )
+        bad = _first((t < 0) | (t >= n))
+        raise TableStructureError(f"{name} table entry at {bad} is {t[bad]}, outside 0..{n - 1}")
     t = np.ascontiguousarray(t, dtype=_DTYPE)
     t.setflags(write=False)
     return t
@@ -216,7 +223,7 @@ class ElementSet:
 
     @classmethod
     def from_iterable(cls, ring: RingTable, it: Iterable[int]) -> "ElementSet":
-        return cls(ring, frozenset(int(x) for x in it))
+        return cls(ring, frozenset(_element(ring, x) for x in it))
 
     def __contains__(self, x) -> bool:
         return int(x) in self.members
@@ -236,22 +243,9 @@ class ElementSet:
     def indices(self) -> np.ndarray:
         return np.array(sorted(self.members), dtype=np.int64)
 
-    def is_additive_subgroup(self) -> bool:
-        R = self.ring
-        if R.zero not in self.members:
-            return False
-        idx = self.indices()
-        sums = R.add[np.ix_(idx, idx)]
-        return bool(self.mask[sums].all())
-
     def is_ideal(self) -> bool:
-        """Two-sided ideal test: additive subgroup absorbing R on both sides."""
-        if not self.is_additive_subgroup():
-            return False
-        R = self.ring
-        idx = self.indices()
-        m = self.mask
-        return bool(m[R.mul[:, idx]].all() and m[R.mul[idx, :]].all())
+        """Two-sided ideal test: holds 0, closed under +, absorbing R on both sides."""
+        return self.ring.zero in self.members and _ideal_witness(self.ring, self.mask) is None
 
 
 @dataclass
@@ -273,45 +267,37 @@ def _row_blocks(n: int, per_row: int):
 
 
 def _first_triple(n: int, violations):
-    """First (a, b, c) flagged by a chunked (n, n, n) scan, or None.
+    """First (a, b, c) flagged by a chunked (n, n, m) scan, or None.
 
-    violations(a0, a1) returns the boolean block for a in [a0, a1).
+    violations(a0, a1) returns the boolean block for a in [a0, a1); m is n
+    for a law of three elements.
     """
     for a0, a1 in _row_blocks(n, n * n):
-        block = violations(a0, a1)
-        if block.any():
-            a, b, c = np.argwhere(block)[0]
-            return (int(a) + a0, int(b), int(c))
+        w = _first(violations(a0, a1))
+        if w is not None:
+            return (w[0] + a0, *w[1:])
     return None
 
 
 def _two_variable_violations(R: RingTable) -> list:
     """[(law, witness)] for the laws of at most two elements: additive group, unity, zero."""
-    add, mul = R.add, R.mul
+    add, mul, zero, one = R.add, R.mul, R.zero, R.one
     ids = np.arange(R.order, dtype=_DTYPE)
     violations = []
-
-    def report(law, witness):
-        violations.append((law, witness))
-
-    bad = np.argwhere(add != add.T)
-    if len(bad):
-        report("add_commutative", (int(bad[0][0]), int(bad[0][1])))
-    if not np.array_equal(add[R.zero], ids):
-        report("add_identity", (int(np.argwhere(add[R.zero] != ids)[0][0]),))
-    no_inv = ~(add == R.zero).any(axis=1)
-    if no_inv.any():
-        report("add_inverse", (int(np.argmax(no_inv)),))
-    if not (np.array_equal(mul[R.one], ids) and np.array_equal(mul[:, R.one], ids)):
-        bad_l = np.argwhere(mul[R.one] != ids)
-        bad_r = np.argwhere(mul[:, R.one] != ids)
-        x = bad_l[0][0] if len(bad_l) else bad_r[0][0]
-        report("unity", (int(x),))
-    if not ((mul[R.zero] == R.zero).all() and (mul[:, R.zero] == R.zero).all()):
-        bad_l = np.argwhere(mul[R.zero] != R.zero)
-        bad_r = np.argwhere(mul[:, R.zero] != R.zero)
-        x = bad_l[0][0] if len(bad_l) else bad_r[0][0]
-        report("zero_annihilation", (int(x),))
+    w = _first(add != add.T)
+    if w is not None:
+        violations.append(("add_commutative", w))
+    # the rest name one element x: a one-sided law stacks its left and right
+    # rows, so its witness is the first bad x on the left, else on the right
+    for law, bad in (
+        ("add_identity", add[zero] != ids),
+        ("add_inverse", ~(add == zero).any(axis=1)),
+        ("unity", np.stack([mul[one], mul[:, one]]) != ids),
+        ("zero_annihilation", np.stack([mul[zero], mul[:, zero]]) != zero),
+    ):
+        w = _first(bad)
+        if w is not None:
+            violations.append((law, w[-1:]))
     return violations
 
 
@@ -496,6 +482,24 @@ def direct_sum(A: RingTable, B: RingTable) -> RingTable:
 
 
 # -- ideals and quotients ----------------------------------------------------
+
+
+def _ideal_witness(R: RingTable, mask: np.ndarray):
+    """First failure of the elements in mask to absorb + and R, or None.
+
+    ("sum", x, y) with x + y outside, else ("lmul", r, x) with r*x outside,
+    else ("rmul", x, r) with x*r outside, for x, y in mask and r in R.
+    """
+    idx, every = np.flatnonzero(mask), np.arange(R.order)
+    for kind, table, rows, cols in (
+        ("sum", R.add, idx, idx),
+        ("lmul", R.mul, every, idx),
+        ("rmul", R.mul, idx, every),
+    ):
+        w = _first(~mask[table[np.ix_(rows, cols)]])
+        if w is not None:
+            return (kind, int(rows[w[0]]), int(cols[w[1]]))
+    return None
 
 
 def ideal_generated(R: RingTable, seeds: Iterable[int]) -> ElementSet:

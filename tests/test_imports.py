@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses, and
-only table.py handles the per-ring memo.
+"""Source hygiene: no module of the package imports a name it never uses,
+only table.py handles the per-ring memo, and no module calls argwhere, since
+table._first picks every witness.
 
 __init__.py is skipped by the import check, since its imports are the
 package's re-exports.
@@ -85,3 +86,33 @@ def test_the_check_finds_memo_handling():
 @pytest.mark.parametrize("path", NOT_TABLE, ids=lambda p: p.name)
 def test_only_table_handles_the_memo(path):
     assert memo_handling(path.read_text()) == []
+
+
+def argwhere_calls(source: str) -> list:
+    """Line of each call of argwhere, as np.argwhere(...) or a bare argwhere(...)."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "argwhere")
+            or (isinstance(node.func, ast.Name) and node.func.id == "argwhere")
+        )
+    )
+
+
+def test_the_check_finds_argwhere():
+    source = (
+        "import numpy as np\n"
+        "from numpy import argwhere\n"
+        "def f(bad):\n"
+        "    i = np.argwhere(bad)[0]\n"
+        "    return argwhere(bad), np.flatnonzero(bad)\n"
+    )
+    assert argwhere_calls(source) == [4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_calls_argwhere(path):
+    assert argwhere_calls(path.read_text()) == []

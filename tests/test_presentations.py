@@ -10,10 +10,14 @@ from finring.abelian import CoordGroup
 from finring.corpus import corpus
 from finring.errors import PresentationError
 from finring.iso import is_isomorphic
+from finring.howell import howell
 from finring.presentation import (
     _coset_basis,
+    _harvest,
+    _ncols,
     _pmul,
     build_from_text,
+    bounded_ideal_span,
     build_ring,
     degree_bound,
     parse_presentation,
@@ -237,6 +241,21 @@ def test_building_the_512_ring_allocates_no_n_n_s_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("text", EMISSION_TEXTS)
+def test_harvest_is_the_howell_form_of_the_trailing_block(text):
+    P = parse_presentation(text)
+    reldeg = max(1, P.max_degree())
+    for E in range(reldeg, min(reldeg + 3, degree_bound(len(P.gens))) + 1):
+        HE = bounded_ideal_span(P, E)
+        for d in range(1, E + 1):
+            off = HE.ncols - _ncols(HE.ngens, d)
+            inside = [i for i, (c, _) in enumerate(HE.pivots) if c >= off]
+            H, pivots = howell(HE.rows[inside, off:], HE.q)
+            B = _harvest(HE, d)
+            assert (B.degree, B.ngens, B.q) == (d, HE.ngens, HE.q)
+            assert np.array_equal(B.rows, H) and B.pivots == pivots, (E, d)
 
 
 # -- failure modes ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Property predicates cross-checked against plain-Python exhaustive scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,6 +322,18 @@ def test_ps_i_is_evaluated_on_rings_of_order_256_and_512(text):
     assert p.ps_i is p.ni
     assert p.ps_i is quotient_ps_i(R)
     assert f"ps_i={str(p.ni).lower()}" in p.as_kv()
+
+
+def test_profile_of_the_512_ring_builds_no_array_per_violation():
+    # commutative_witness alone once listed all 233,472 noncommuting pairs
+    R = build_from_text(R512)
+    tracemalloc.start()
+    try:
+        profile(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 @pytest.fixture(scope="module")

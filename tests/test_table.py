@@ -1,5 +1,7 @@
 """Core table type: axioms, element sets, quotients, sums, opposites."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from finring import (
     verify_axioms,
 )
 from finring.abelian import abelian_groups_of_order
+from finring.table import _first
 
 
 def test_cyclic_passes_axioms():
@@ -46,6 +49,11 @@ def test_rejects_out_of_range_entries():
     mul = np.zeros((2, 2), dtype=np.int16)
     with pytest.raises(TableStructureError):
         RingTable(2, ["0", "1"], add, mul, 0, 1)
+
+
+def test_an_out_of_range_entry_is_named_by_its_index():
+    with pytest.raises(TableStructureError, match=re.escape("add table entry at (1, 1) is 5,")):
+        RingTable(2, ["a", "b"], [[0, 1], [1, 5]], [[0, 0], [0, 1]], 0, 1)
 
 
 @pytest.mark.parametrize("bad", ["", "a b", "a\tb", "a\xa0b"])
@@ -187,3 +195,26 @@ def test_out_of_range_element_indices_and_negative_exponents_raise(call, error, 
 def test_labels_must_not_contain_whitespace():
     with pytest.raises(TableStructureError):
         RingTable(2, ["0", "a b"], cyclic(2).add, cyclic(2).mul, 0, 1)
+
+
+@pytest.mark.parametrize("members", [[-1, 0], [5], [0, 7]], ids=["neg", "n", "past-n"])
+def test_element_set_rejects_a_member_outside_the_ring(members):
+    bad = next(x for x in members if not 0 <= x < 5)
+    with pytest.raises(IndexError, match=rf"element index {bad} outside 0\.\.4"):
+        ElementSet.from_iterable(cyclic(5), members)
+
+
+def test_first_is_the_row_major_first_true_entry():
+    line = np.array([False, False, True, False, True])
+    assert _first(line) == (2,)
+    grid = np.zeros((3, 4), dtype=bool)
+    grid[1, 3] = grid[2, 0] = True
+    assert _first(grid) == (1, 3)
+    # row-major over the view, not over the memory underneath it
+    assert _first(grid.T) == (0, 2)
+    block = np.zeros((2, 3, 4), dtype=bool)
+    block[1, 2, 0] = block[1, 0, 3] = block[1, 0, 2] = True
+    w = _first(block)
+    assert w == (1, 0, 2) and all(type(i) is int for i in w)
+    assert _first(np.zeros((3, 4), dtype=bool)) is None
+    assert _first(np.zeros(0, dtype=bool)) is None
