@@ -11,7 +11,7 @@
     finring export 'GA(GF(2),Q8)' --out f2q8.ringtab
     finring import f2q8.ringtab
 
-`enumerate` runs orders 2, 3, 4, 5, 7, 8, 9, 16 and 27.  `verify` exits 0
+`enumerate` runs the orders `enumerate_unital` accepts.  `verify` exits 0
 only when every corpus expectation and invariant suite passes.  Errors,
 including unreadable files, exit with status 2.
 """

@@ -89,13 +89,13 @@ def galois(p: int, k: int = 1) -> RingTable:
     so tables are reproducible across runs.
     """
     p, k = int(p), int(k)
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
-        raise TableStructureError(f"{p} is not prime")
     if k < 1:
         raise TableStructureError(f"field degree must be at least 1, got {k}")
-    n = p**k
-    if n > MAX_ORDER:
-        raise TableStructureError(f"field order {n} exceeds cap {MAX_ORDER}")
+    # p and k are bounded before the trial division and p**k, and not formatted
+    if p > MAX_ORDER or k > MAX_ORDER.bit_length() or (n := p**k) > MAX_ORDER:
+        raise TableStructureError(f"field order p^k exceeds cap {MAX_ORDER}")
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        raise TableStructureError(f"{p} is not prime")
     # basis products w^i w^j = w^(i+j); row t of powers is w^t mod f
     f = _least_irreducible(p, k)
     powers = np.zeros((2 * k - 1, k), dtype=np.int64)

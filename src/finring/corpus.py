@@ -27,7 +27,6 @@ from .iso import is_isomorphic
 from .presentation import presentation_build
 from .properties import (
     PropertyProfile,
-    _closure,
     is_left_duo,
     is_reflexive,
     is_reversible,
@@ -37,7 +36,7 @@ from .properties import (
     profile,
     upper_nilradical,
 )
-from .table import RingTable, opposite
+from .table import RingTable, _closure, opposite
 
 
 @dataclass(frozen=True)

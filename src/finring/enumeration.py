@@ -51,13 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import CoordGroup, abelian_groups_of_order, product_tables
+from .abelian import CoordGroup, _factorize, abelian_groups_of_order, product_tables
 from .errors import FinringError, InternalCheckError
 from .iso import fingerprint
 from .properties import profile
-from .table import RingTable, verify_axioms
-
-SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 27)
+from .table import MAX_ORDER, RingTable, verify_axioms
 
 
 def _slot_schedule(r: int):
@@ -117,10 +115,7 @@ class _GroupSearch:
         # maps[a][code*n + x] is the additive map with e_0 -> g_a and e_p -> img_p
         # at x, where code packs img_1..img_r in base n
         n, r = G.n, self.r
-        if r * n ** (r + 1) > self._MAP_ENTRIES:
-            raise FinringError(
-                f"the map table of {G.factors} needs {r * n ** (r + 1)} entries, over {self._MAP_ENTRIES}"
-            )
+        self.refuse_oversized(G.factors)
         images = np.zeros((n**r, G.k), dtype=np.int64)
         images[:, 1:] = np.arange(n**r)[:, None] // n ** np.arange(r) % n
         # only the e_0 term, x_0 g_a, differs between the rows: the sum over
@@ -146,6 +141,15 @@ class _GroupSearch:
 
     # map-table cap: (4,2,2,2) needs 3.1 M entries (6 MiB), Z2^5 would need 134 M
     _MAP_ENTRIES = 1 << 22
+
+    @classmethod
+    def refuse_oversized(cls, factors) -> None:
+        """FinringError when the map table, r * n^(r+1) entries for r + 1
+        factors of product n, would pass _MAP_ENTRIES."""
+        n, r = int(np.prod(factors)), len(factors) - 1
+        if r * n ** (r + 1) > cls._MAP_ENTRIES:
+            raise FinringError(f"unsupported group {tuple(factors)}: its map table needs "
+                               f"{r * n ** (r + 1)} entries, over {cls._MAP_ENTRIES}")
 
     def _triple_mask(self, assign, cand, pi, ci, a, b, c):
         """Whether (g_a g_b) g_c = g_a (g_b g_c) on the assignments assign[pi]
@@ -397,23 +401,23 @@ def _least(perms, m) -> np.ndarray:
 def enumerate_unital(order: int, deep: bool = False, seed=None):
     """All isomorphism classes of unital rings of the given order.
 
-    Runs orders 2, 3, 4, 5, 7, 8, 9, 16 and 27.  Each class is represented
-    by the least survivor of its orbit.  deep and seed are accepted and
-    ignored: every supported order runs, and the search has no random
-    choice.  They stay only because the benchmark's enum16 workload passes
-    them.
+    The order must be a prime power n with 1 < n <= MAX_ORDER whose abelian
+    groups all fit _GroupSearch's map table; up to 128 these are the primes
+    and 4, 8, 9, 16, 25, 27, 49, 121 and 125.  Each class is represented by
+    the least survivor of its orbit.  deep and seed are accepted and
+    ignored: the search has no random choice.  They stay only because the
+    benchmark's enum16 workload passes them.
     """
-    if order not in SUPPORTED_ORDERS:
-        raise FinringError(f"unsupported enumeration order {order}")
-
-    reps = list(_classes(order))
-    reps.sort(key=fingerprint)
-    return reps
-
-
-def _classes(order: int):
-    """One checked table per isomorphism class, group by group."""
-    for factors in abelian_groups_of_order(order):
+    # the bound first: _factorize's trial division of a large prime would not return
+    if not 1 < order <= MAX_ORDER or len(_factorize(order)) != 1:
+        raise FinringError(
+            f"unsupported enumeration order {order}: not a prime power up to {MAX_ORDER}"
+        )
+    groups = abelian_groups_of_order(order)
+    for factors in groups:
+        _GroupSearch.refuse_oversized(factors)
+    reps = []
+    for factors in groups:
         search = _GroupSearch(factors)
         rows, least = search.classes()
         for row in rows[least == np.arange(len(rows))]:
@@ -423,7 +427,9 @@ def _classes(order: int):
                 raise InternalCheckError(
                     f"enumerated table fails axioms: {report.violations[:2]}"
                 )
-            yield T
+            reps.append(T)
+    reps.sort(key=fingerprint)
+    return reps
 
 
 @dataclass

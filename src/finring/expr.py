@@ -143,4 +143,7 @@ def parse_ring_expr(text: str) -> RingTable:
     stripped = text.strip()
     if not stripped:
         raise ExpressionError("empty expression")
-    return _Parser(stripped).parse()
+    try:
+        return _Parser(stripped).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None

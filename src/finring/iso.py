@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalCheckError
-from .properties import _closure, _nilpotency_index, jacobson_radical
-from .table import RingTable, _memoised, additive_type
+from .properties import _nilpotency_index, jacobson_radical
+from .table import RingTable, _closure, _memoised, additive_type
 
 DEFAULT_NODE_BUDGET = 10_000_000
 

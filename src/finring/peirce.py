@@ -8,6 +8,7 @@ decomposition to the taxonomy predicates (abelian, NI, reflexive).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,7 +16,6 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .properties import (
-    _closure,
     is_abelian,
     is_local,
     is_ni,
@@ -25,43 +25,19 @@ from .properties import (
 from .table import (
     ElementSet,
     RingTable,
+    _closure,
     _first,
+    _induced,
     central_idempotents,
     idempotents,
     projection_map,
     quotient,
-    verify_axioms,
 )
 
 
-def _subring_table(R: RingTable, elements, unit, tag) -> RingTable:
-    """Build the RingTable of a subset closed under both operations."""
-    idx = np.array(sorted(elements), dtype=np.int64)
-    pos = np.full(R.order, -1, dtype=np.int64)
-    pos[idx] = np.arange(len(idx))
-    add = pos[R.add[np.ix_(idx, idx)]]
-    mul = pos[R.mul[np.ix_(idx, idx)]]
-    if (add < 0).any() or (mul < 0).any():
-        raise InternalCheckError(f"{tag}: subset is not closed under ring operations")
-    sub = RingTable(
-        len(idx),
-        [R.labels[i] for i in idx],
-        add.astype(np.int16),
-        mul.astype(np.int16),
-        int(pos[R.zero]),
-        int(pos[unit]),
-        provenance=f"{tag}[{R.provenance}]",
-    )
-    report = verify_axioms(sub)
-    if not report.passed:
-        raise InternalCheckError(f"{tag}: corner table fails axioms: {report.violations[:2]}")
-    return sub
-
-
-def _corner(R: RingTable, e: int, f: int):
-    """Element set e*R*f."""
-    vals = R.mul[R.mul[e, :], f]
-    return sorted(set(int(v) for v in vals))
+def _corner(R: RingTable, e: int, f: int) -> list:
+    """Element set e*R*f, ascending."""
+    return np.unique(R.mul[R.mul[e, :], f]).tolist()
 
 
 def _sum_of(R: RingTable, parts) -> np.ndarray:
@@ -141,9 +117,11 @@ def peirce(R: RingTable) -> Decomposition:
 
     m = len(chosen)
     comp_sets = [tuple(_corner(R, e, e)) for e in chosen]
-    components = tuple(
-        _subring_table(R, comp_sets[i], chosen[i], f"corner{i+1}") for i in range(m)
-    )
+    components = []
+    for i, (e, cs) in enumerate(zip(chosen, comp_sets)):
+        pos = np.full(R.order, -1, dtype=np.int64)
+        pos[list(cs)] = np.arange(len(cs))
+        components.append(_induced(R, cs, pos, e, f"corner{i+1}[{R.provenance}]"))
     modules = {}
     for i in range(m):
         for j in range(m):
@@ -153,15 +131,9 @@ def peirce(R: RingTable) -> Decomposition:
     s_set = _sum_of(R, comp_sets)
     m_set = _sum_of(R, modules.values())
 
-    size_s = 1
-    for cs in comp_sets:
-        size_s *= len(cs)
-    if len(s_set) != size_s:
+    if len(s_set) != math.prod(map(len, comp_sets)):
         raise InternalCheckError("corner sum is not an internal direct sum")
-    size_m = 1
-    for v in modules.values():
-        size_m *= len(v)
-    if len(m_set) != size_m:
+    if len(m_set) != math.prod(map(len, modules.values())):
         raise InternalCheckError("module sum is not an internal direct sum")
     if len(s_set) * len(m_set) != R.order:
         raise InternalCheckError("decomposition sizes do not reconstruct the ring order")
@@ -181,7 +153,7 @@ def peirce(R: RingTable) -> Decomposition:
     dec = Decomposition(
         ring=R,
         idems=tuple(chosen),
-        components=components,
+        components=tuple(components),
         component_elements=tuple(comp_sets),
         modules=modules,
         s_elements=ElementSet.from_iterable(R, s_set),
@@ -201,19 +173,12 @@ def _verify_split_model(D: Decomposition) -> None:
     Exercises the uniqueness of the S (+) M additive splitting on all pairs.
     """
     R = D.ring
-    n = R.order
-    s_of = np.full(n, -1, dtype=np.int64)
-    u_of = np.full(n, -1, dtype=np.int64)
-    for s in D.s_elements.indices():
-        for u in D.m_elements.indices():
-            r = int(R.add[s, u])
-            if s_of[r] != -1:
-                raise InternalCheckError("S+M splitting is not unique")
-            s_of[r] = s
-            u_of[r] = u
-    if (s_of < 0).any():
-        raise InternalCheckError("S+M splitting does not cover the ring")
-    sa, ua = s_of, u_of
+    S, M = D.s_elements.indices(), D.m_elements.indices()
+    sums = R.add[np.ix_(S, M)].ravel()
+    if len(sums) != R.order or len(np.unique(sums)) != R.order:
+        raise InternalCheckError("S+M splitting is not a bijection onto the ring")
+    sa, ua = np.empty((2, R.order), dtype=np.int64)
+    sa[sums], ua[sums] = np.repeat(S, len(M)), np.tile(M, len(S))
     lhs = R.mul
     rhs = R.add[
         R.mul[sa[:, None], sa[None, :]],

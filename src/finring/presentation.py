@@ -200,7 +200,10 @@ def parse_presentation(text: str) -> Presentation:
     rels = []
     if pp.peek().kind != ")":
         while True:
-            poly = pp.expr()
+            try:
+                poly = pp.expr()
+            except RecursionError:
+                raise PresentationError("relation nested too deeply") from None
             if poly:
                 rels.append(tuple(sorted(poly.items())))
             k = pp.take().kind

@@ -21,6 +21,7 @@ from .table import (
     ElementSet,
     RingTable,
     _additive_generators,
+    _closure,
     _first,
     _first_triple,
     _ideal_witness,
@@ -31,19 +32,6 @@ from .table import (
     idempotents,
     units,
 )
-
-
-def _closure(mask: np.ndarray, *tables) -> np.ndarray:
-    """Least superset of mask closed under each binary operation table."""
-    mask = mask.copy()
-    while True:
-        cur = np.flatnonzero(mask)
-        new = mask.copy()
-        for t in tables:
-            new[t[np.ix_(cur, cur)].ravel()] = True
-        if (new == mask).all():
-            return mask
-        mask = new
 
 
 @_memoised

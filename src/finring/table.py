@@ -6,6 +6,10 @@ array indexing.  Tables are immutable once constructed; all derived data is
 memoised on the instance by `_memoised`, the one place the memo rule lives.
 Every witness of a broken law or failed predicate is the first violation in
 row-major order, as `_first` picks it, the one place the witness rule lives.
+The two subset rules live here too: `_closure` is the least superset closed
+under given operations (ideals are the additive closure of R*S*R), and
+`_induced` is the ring a subring or a set of cosets induces (corners and
+quotients).
 """
 
 from __future__ import annotations
@@ -502,23 +506,31 @@ def _ideal_witness(R: RingTable, mask: np.ndarray):
     return None
 
 
-def ideal_generated(R: RingTable, seeds: Iterable[int]) -> ElementSet:
-    """Smallest two-sided ideal of R containing the seed elements."""
-    n = R.order
-    mask = np.zeros(n, dtype=bool)
-    mask[R.zero] = True
-    for s in seeds:
-        mask[_element(R, s)] = True
+def _closure(mask: np.ndarray, *tables) -> np.ndarray:
+    """Least superset of mask closed under each binary operation table."""
+    mask = mask.copy()
     while True:
         cur = np.flatnonzero(mask)
         new = mask.copy()
-        new[R.add[np.ix_(cur, cur)].ravel()] = True
-        new[R.mul[:, cur].ravel()] = True
-        new[R.mul[cur, :].ravel()] = True
+        for t in tables:
+            new[t[np.ix_(cur, cur)].ravel()] = True
         if (new == mask).all():
-            break
+            return mask
         mask = new
-    return ElementSet.from_iterable(R, np.flatnonzero(mask))
+
+
+def ideal_generated(R: RingTable, seeds: Iterable[int]) -> ElementSet:
+    """Smallest two-sided ideal of R containing the seed elements.
+
+    R is unital, so that ideal is the additive span of R*S*R: the span is
+    absorbing, and R*S*R holds S = 1*S*1.
+    """
+    mask = np.zeros(R.order, dtype=bool)
+    mask[R.zero] = True
+    mask[[_element(R, s) for s in seeds]] = True
+    mask[R.mul[:, mask]] = True
+    mask[R.mul[mask, :]] = True
+    return ElementSet.from_iterable(R, np.flatnonzero(_closure(mask, R.add)))
 
 
 def right_annihilator(R: RingTable, a: int) -> ElementSet:
@@ -540,6 +552,26 @@ def _cosets(R: RingTable, ideal: ElementSet) -> tuple:
     return reps, pos[rep]
 
 
+def _induced(R: RingTable, reps, index: np.ndarray, unit: int, provenance: str) -> RingTable:
+    """The ring R induces on reps, reading both tables through index.
+
+    index maps each element of R to its position in reps: -1 off a subring,
+    or the coset of each element in a quotient.  A subset whose sums or
+    products leave it is refused, and the table must pass verify_axioms.
+    """
+    add = index[R.add[np.ix_(reps, reps)]]
+    mul = index[R.mul[np.ix_(reps, reps)]]
+    if (add < 0).any() or (mul < 0).any():
+        raise InternalCheckError(f"{provenance}: subset is not closed under ring operations")
+    T = RingTable(
+        len(reps), [R.labels[r] for r in reps], add, mul, index[R.zero], index[unit], provenance
+    )
+    report = verify_axioms(T)
+    if not report.passed:
+        raise InternalCheckError(f"{provenance} fails {report.violations[0][0]}")
+    return T
+
+
 def quotient(R: RingTable, ideal: ElementSet) -> RingTable:
     """Quotient ring R/I with cosets named by their least element."""
     if ideal.ring is not R:
@@ -547,19 +579,9 @@ def quotient(R: RingTable, ideal: ElementSet) -> RingTable:
     if not ideal.is_ideal():
         raise NotAnIdealError("quotient requires a two-sided ideal")
     reps, proj = _cosets(R, ideal)
-    Q = RingTable(
-        len(reps),
-        [R.labels[r] for r in reps],
-        proj[R.add[np.ix_(reps, reps)]],
-        proj[R.mul[np.ix_(reps, reps)]],
-        int(proj[R.zero]),
-        int(proj[R.one]),
-        provenance=f"quotient({R.provenance or 'ring'}, |I|={len(ideal)})",
+    return _induced(
+        R, reps, proj, R.one, f"quotient({R.provenance or 'ring'}, |I|={len(ideal)})"
     )
-    rep_check = verify_axioms(Q)
-    if not rep_check.passed:
-        raise InternalCheckError(f"quotient table fails {rep_check.violations[0][0]}")
-    return Q
 
 
 def projection_map(R: RingTable, ideal: ElementSet) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Block decomposition: corner rings, glue modules, structural law checks."""
 
+import dataclasses
+
 import pytest
 
 from finring.construct import (
+    block_triangular,
     cyclic,
     galois,
     matrix_ring,
@@ -10,8 +13,9 @@ from finring.construct import (
     upper_triangular,
 )
 from finring.enumeration import enumerate_unital
-from finring.peirce import decomposition_report, peirce
-from finring.table import direct_sum
+from finring.errors import InternalCheckError
+from finring.peirce import _verify_split_model, decomposition_report, peirce
+from finring.table import ElementSet, direct_sum
 
 
 def check_internal_sum(R, D):
@@ -126,3 +130,21 @@ def test_report_agrees_on_every_small_unital_ring():
     for order in (4, 8, 9):
         for R in enumerate_unital(order):
             assert decomposition_report(R).overall_pass is True
+
+
+@pytest.mark.parametrize("make", [
+    lambda: upper_triangular(galois(3), 2),
+    lambda: block_triangular(galois(2), (1, 2)),
+], ids=["U(2,GF(3))", "T(1,2,GF(2))"])
+def test_split_model_refuses_a_glue_set_that_no_longer_splits_the_ring(make):
+    R = make()
+    D = peirce(R)
+    assert D.m_square_zero
+    _verify_split_model(D)
+    m = sorted(D.m_elements.members)
+    s = max(D.s_elements.members)
+    # too few sums, too many, and the right number with a repeat
+    for members in ({R.zero}, set(range(R.order)), set(m[:-1]) | {s}):
+        broken = dataclasses.replace(D, m_elements=ElementSet(R, frozenset(members)))
+        with pytest.raises(InternalCheckError, match="S\\+M splitting"):
+            _verify_split_model(broken)

@@ -11,7 +11,6 @@ import pytest
 from finring.abelian import CoordGroup, abelian_groups_of_order, product_tables
 from finring.construct import cyclic, galois, upper_triangular
 from finring.enumeration import (
-    SUPPORTED_ORDERS,
     _GroupSearch,
     enumerate_unital,
     taxonomy_census,
@@ -21,9 +20,12 @@ from finring.iso import is_isomorphic
 from finring.presentation import build_from_text
 from finring.table import _scan_axioms, direct_sum
 
-# class counts for each supported order, cross-checked against the
-# construction-side catalogs below
-CLASS_COUNTS = {2: 1, 3: 1, 4: 4, 5: 1, 7: 1, 8: 11, 9: 4, 16: 50, 27: 12}
+# class counts for enumerated orders, cross-checked against the
+# construction-side catalogs below and against OEIS A037291
+CLASS_COUNTS = {
+    2: 1, 3: 1, 4: 4, 5: 1, 7: 1, 8: 11, 9: 4, 11: 1, 16: 50, 25: 4, 27: 12,
+    49: 4, 121: 4, 125: 12, 127: 1,
+}
 
 
 @pytest.mark.parametrize("order", sorted(CLASS_COUNTS))
@@ -33,8 +35,19 @@ def test_class_count(order):
     assert all(R.order == order for R in rings)
 
 
-def test_supported_orders_constant_matches():
-    assert tuple(sorted(CLASS_COUNTS)) == SUPPORTED_ORDERS
+def _accepted(order):
+    try:
+        enumerate_unital(order)
+    except FinringError as exc:
+        assert "unsupported" in str(exc)
+        return False
+    return True
+
+
+def test_accepted_orders_are_the_prime_powers_whose_map_tables_fit():
+    primes = [p for p in range(2, 129) if all(p % d for d in range(2, p))]
+    want = set(primes) | {4, 8, 9, 16, 25, 27, 49, 121, 125}
+    assert {n for n in range(1, 129) if _accepted(n)} == want
 
 
 def match_up_to_iso(found, expected):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -345,3 +346,29 @@ def test_an_integer_past_the_digit_limit_is_a_grammar_error(text, pos, capsys):
         parse_ring_expr(text)
     assert main(["build", text]) == 2
     assert "integer of 5000 digits" in capsys.readouterr().err
+
+
+# each is refused before the trial division and before p^k is computed or
+# formatted: at the parent, GF(1000000007) took 71 s and GF(3,1000000) ended
+# in an uncaught ValueError from the int-to-str digit limit
+@pytest.mark.parametrize("text", [
+    "GF(1000000007)", "GF(3,1000000)", "GF(3," + "1" * 4000 + ")",
+], ids=["large-p", "large-k", "4000-digit-k"])
+def test_an_oversized_field_is_refused_at_once(text, capsys):
+    t0 = time.perf_counter()
+    with pytest.raises(ExpressionError, match="exceeds cap 1024"):
+        parse_ring_expr(text)
+    assert main(["build", text]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("text,error", [
+    ("op(" * 5000 + "Zn(2)" + ")" * 5000, ExpressionError),
+    ("F2<u>/(" + "(" * 5000 + "u" + ")" * 5000 + ")", PresentationError),
+], ids=["expression", "presentation"])
+def test_deep_nesting_is_a_grammar_error(text, error, capsys):
+    with pytest.raises(error, match="nested too deeply"):
+        parse_ring_expr(text)
+    assert main(["build", text]) == 2
+    assert "nested too deeply" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from finring.construct import cyclic, galois, matrix_ring, upper_triangular
 from finring.corpus import corpus
-from finring.enumeration import SUPPORTED_ORDERS, enumerate_unital
+from finring.enumeration import enumerate_unital
 from finring.expr import parse_ring_expr
 from finring.presentation import build_from_text
 from finring.properties import (
@@ -340,7 +340,7 @@ def test_profile_of_the_512_ring_builds_no_array_per_violation():
 def enumerated_rings():
     """Every enumerated ring of orders 2 to 27, and its opposite."""
     out = []
-    for order in SUPPORTED_ORDERS:
+    for order in (2, 3, 4, 5, 7, 8, 9, 16, 27):
         for i, R in enumerate(enumerate_unital(order)):
             out += [(f"order{order}[{i}]", R), (f"op(order{order}[{i}])", opposite(R))]
     return out

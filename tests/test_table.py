@@ -28,7 +28,11 @@ from finring import (
     verify_axioms,
 )
 from finring.abelian import abelian_groups_of_order
-from finring.table import _first
+from finring.corpus import corpus
+from finring.enumeration import enumerate_unital
+from finring.errors import InternalCheckError
+from finring.presentation import build_from_text
+from finring.table import _first, _induced
 
 
 def test_cyclic_passes_axioms():
@@ -118,6 +122,53 @@ def test_ideal_generated_in_z12():
     I = ideal_generated(R, [4])
     assert sorted(I) == [0, 4, 8]
     assert I.is_ideal()
+
+
+def fixpoint_ideal(R, seeds):
+    """The ideal generated by seeds as the least set holding 0 and the seeds
+    that is closed under sums and under products with R on either side."""
+    mask = np.zeros(R.order, dtype=bool)
+    mask[R.zero] = True
+    mask[list(seeds)] = True
+    while True:
+        cur = np.flatnonzero(mask)
+        new = mask.copy()
+        new[R.add[np.ix_(cur, cur)].ravel()] = True
+        new[R.mul[:, cur].ravel()] = True
+        new[R.mul[cur, :].ravel()] = True
+        if (new == mask).all():
+            return sorted(np.flatnonzero(mask).tolist())
+        mask = new
+
+
+def test_ideal_generated_is_the_fixpoint_of_sums_and_products():
+    rings = [e.build() for e in corpus()]
+    rings += [R for n in (4, 8, 9, 16, 27) for R in enumerate_unital(n)]
+    rings.append(build_from_text("F2<u,v>/(u^3,v^3,u^2+v^2+vu,vu^2+uvu+vuv)"))
+    rng = np.random.default_rng(25)
+    calls = 0
+    for R in rings:
+        seed_sets = [[s] for s in range(min(64, R.order))]
+        seed_sets += [rng.integers(0, R.order, size).tolist() for size in (0, 2, 5)]
+        for seeds in seed_sets:
+            assert sorted(ideal_generated(R, seeds)) == fixpoint_ideal(R, seeds), (R, seeds)
+            calls += 1
+    assert calls > 2000
+
+
+def test_induced_refuses_a_subset_that_is_not_closed():
+    R = cyclic(4)
+    pos = np.array([0, 1, -1, -1])
+    with pytest.raises(InternalCheckError, match="sub: subset is not closed"):
+        _induced(R, [0, 1], pos, 1, "sub")
+
+
+def test_induced_names_the_first_failing_law():
+    # {0, 2} is closed in Z4, but 2 is no unity of it: 2 * 2 = 0
+    R = cyclic(4)
+    pos = np.array([0, -1, 1, -1])
+    with pytest.raises(InternalCheckError, match="^sub fails unity$"):
+        _induced(R, [0, 2], pos, 2, "sub")
 
 
 def test_right_annihilator():
