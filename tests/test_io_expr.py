@@ -349,8 +349,8 @@ def test_an_integer_past_the_digit_limit_is_a_grammar_error(text, pos, capsys):
 
 
 # each is refused before the trial division and before p^k is computed or
-# formatted: at the parent, GF(1000000007) took 71 s and GF(3,1000000) ended
-# in an uncaught ValueError from the int-to-str digit limit
+# formatted: trial division of 1000000007 takes over a minute, and 3^1000000
+# has more digits than int-to-str conversion allows
 @pytest.mark.parametrize("text", [
     "GF(1000000007)", "GF(3,1000000)", "GF(3," + "1" * 4000 + ")",
 ], ids=["large-p", "large-k", "4000-digit-k"])
