@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .abelian import _factorize
 from .construct import galois, upper_triangular
 from .peirce import _split_checks, peirce
 from .enumeration import enumerate_unital
@@ -26,6 +27,7 @@ from .expr import parse_ring_expr
 from .iso import is_isomorphic
 from .presentation import presentation_build
 from .properties import (
+    LATTICE,
     PropertyProfile,
     is_left_duo,
     is_reflexive,
@@ -67,7 +69,7 @@ def corpus() -> list:
           "prime field of odd characteristic"),
         E("Z4", "Zn(4)", 4,
           dict(commutative=True, reduced=False, local=True),
-          "smallest nonreduced chain ring"),
+          "a smallest nonreduced chain ring"),
         E("F2x", "F2<x>/(x^2)", 4,
           dict(commutative=True, reduced=False, local=True),
           "dual numbers over F2, the other indecomposable nonreduced order-4 ring"),
@@ -89,11 +91,11 @@ def corpus() -> list:
           dict(commutative=False, semicommutative=True, right_duo=True,
                left_duo=True, reflexive=True, symmetric=True, local=True),
           "skew dual numbers over F4 twisted by squaring; the smallest "
-          "noncommutative ring that is symmetric, and the smallest that is duo"),
+          "noncommutative ring that is symmetric, and a smallest that is duo"),
         E("S16F2a", "F2<u,v>/(u^3,v^3,vu,u^2-uv,v^2-uv)", 16,
           dict(commutative=False, semicommutative=True, right_duo=True,
                left_duo=True, reflexive=False, local=True),
-          "characteristic-2 local ring; smallest duo ring that is not reflexive"),
+          "characteristic-2 local ring; a smallest duo ring that is not reflexive"),
         E("S16Z4a", "Z4<u,v>/(u^3,v^3,vu,u^2-uv,v^2-uv,2-uv,2u,2v)", 16,
           dict(commutative=False, semicommutative=True, right_duo=True,
                left_duo=True, reflexive=False, local=True),
@@ -101,7 +103,7 @@ def corpus() -> list:
         E("S16F2b", "F2<u,v>/(u^3,v^2,vu,u^2-uv)", 16,
           dict(commutative=False, semicommutative=True, right_duo=False,
                left_duo=False, reflexive=False, local=True),
-          "smallest semicommutative ring that is neither duo nor reflexive"),
+          "a smallest semicommutative ring that is neither duo nor reflexive"),
         E("S16Z4b", "Z4<u,v>/(u^3,v^2,vu,u^2-uv,2-uv,2u,2v)", 16,
           dict(commutative=False, semicommutative=True, right_duo=False,
                left_duo=False, reflexive=False, local=True),
@@ -303,94 +305,55 @@ def _check_basis_span(R: RingTable, words: tuple) -> str:
     return ""
 
 
-def _suite_radicals(built: list) -> SuiteResult:
-    s = SuiteResult("radicals agree")
-    for name, R, prof in built:
-        j = jacobson_radical(R)
-        up = upper_nilradical(R)
-        lo = lower_nilradical(R)
-        s.checked += 1
-        if not (j == up and up == lo):
-            s.violations.append(
-                f"{name}: radical sizes jacobson={len(j)} upper={len(up)} lower={len(lo)}"
-            )
-    return s
-
-
-_IMPLICATIONS = (
-    ("reversible iff semicommutative and reflexive",
-     lambda p: p.reversible == (p.semicommutative and p.reflexive)),
-    ("semicommutative implies abelian", lambda p: (not p.semicommutative) or p.abelian),
-    ("reduced implies commutative", lambda p: (not p.reduced) or p.commutative),
-    ("right duo iff left duo", lambda p: p.right_duo == p.left_duo),
-    ("ni iff two_primal", lambda p: p.ni == p.two_primal),
-    ("duo implies semicommutative",
-     lambda p: (not (p.right_duo and p.left_duo)) or p.semicommutative),
-    ("symmetric implies reversible", lambda p: (not p.symmetric) or p.reversible),
-    ("ps_i iff ni", lambda p: p.ps_i == p.ni),
-)
-
-
-def _suite_implications(built: list) -> SuiteResult:
-    s = SuiteResult("implication lattice")
-    for name, R, prof in built:
-        for label, ok in _IMPLICATIONS:
-            s.checked += 1
-            if not ok(prof):
-                s.violations.append(f"{name}: {label}")
-    return s
-
-
-def _suite_opposite(built: list) -> SuiteResult:
-    s = SuiteResult("opposite symmetry")
-    for name, R, prof in built:
-        Rop = opposite(R)
-        pairs = (
-            ("right_duo vs left_duo of opposite", prof.right_duo, is_left_duo(Rop)),
-            ("reflexive invariance", prof.reflexive, is_reflexive(Rop)),
-            ("reversible invariance", prof.reversible, is_reversible(Rop)),
-            ("semicommutative invariance", prof.semicommutative, is_semicommutative(Rop)),
-        )
-        for label, a, b in pairs:
-            s.checked += 1
-            if a != b:
-                s.violations.append(f"{name}: {label} ({a} vs {b})")
-    return s
-
-
-def _suite_local_cube(built: list) -> SuiteResult:
-    """Local ring with prime-field residue and J^3 = 0 must be semicommutative."""
-    s = SuiteResult("local cube-zero semicommutative")
-    for name, R, prof in built:
-        if not prof.local:
-            continue
-        j = jacobson_radical(R).indices()
-        if R.order // len(j) not in (2, 3, 5, 7, 11, 13):
-            continue
-        sq = np.unique(R.mul[np.ix_(j, j)])
-        if (R.mul[np.ix_(sq, j)] != R.zero).any():
-            continue
-        s.checked += 1
-        if not prof.semicommutative:
-            s.violations.append(f"{name}: local, prime residue, cube-zero radical, "
-                                f"but not semicommutative")
-    return s
-
-
-def _suite_split(built: list) -> SuiteResult:
-    """Structure-split consistency on every decomposable profile."""
-    s = SuiteResult("structure split")
-    for name, R, prof in built:
-        D = peirce(R)
-        checks = [(c.name, c.agree)
-                  for c in _split_checks(D, prof.abelian, prof.ni, prof.reflexive)]
-        checks.append(("glue inside radical",
-                        D.m_elements.members <= jacobson_radical(R).members))
-        for label, ok in checks:
+def _suite(name: str, built: list, checks) -> SuiteResult:
+    """Count each (label, ok) pair that checks(R, prof) yields on every ring."""
+    s = SuiteResult(name)
+    for ring, R, prof in built:
+        for label, ok in checks(R, prof):
             s.checked += 1
             if not ok:
-                s.violations.append(f"{name}: {label}")
+                s.violations.append(f"{ring}: {label}")
     return s
+
+
+def _radicals(R: RingTable, prof: PropertyProfile):
+    j, up, lo = jacobson_radical(R), upper_nilradical(R), lower_nilradical(R)
+    yield f"radical sizes jacobson={len(j)} upper={len(up)} lower={len(lo)}", j == up == lo
+
+
+def _implications(R: RingTable, prof: PropertyProfile):
+    for label, holds in LATTICE:
+        yield label, holds(prof)
+
+
+def _opposite(R: RingTable, prof: PropertyProfile):
+    Rop = opposite(R)
+    for label, a, b in (
+        ("right_duo vs left_duo of opposite", prof.right_duo, is_left_duo(Rop)),
+        ("reflexive invariance", prof.reflexive, is_reflexive(Rop)),
+        ("reversible invariance", prof.reversible, is_reversible(Rop)),
+        ("semicommutative invariance", prof.semicommutative, is_semicommutative(Rop)),
+    ):
+        yield f"{label} ({a} vs {b})", a == b
+
+
+def _local_cube(R: RingTable, prof: PropertyProfile):
+    """A local ring with prime-field residue and J^3 = 0 is semicommutative."""
+    j = jacobson_radical(R).indices()
+    q = R.order // len(j)
+    if prof.local and _factorize(q) == {q: 1}:
+        sq = np.unique(R.mul[np.ix_(j, j)])
+        if (R.mul[np.ix_(sq, j)] == R.zero).all():
+            yield ("local, prime residue, cube-zero radical, but not semicommutative",
+                   prof.semicommutative)
+
+
+def _split(R: RingTable, prof: PropertyProfile):
+    """Structure-split consistency on every decomposable profile."""
+    D = peirce(R)
+    for c in _split_checks(D, prof.abelian, prof.ni, prof.reflexive):
+        yield c.name, c.agree
+    yield "glue inside radical", D.m_elements.members <= jacobson_radical(R).members
 
 
 def _suite_enumeration() -> SuiteResult:
@@ -427,11 +390,11 @@ def verify_corpus() -> VerificationReport:
         if payload is not None:
             built.append((entry.name, payload[0], payload[1]))
     suites = [
-        _suite_radicals(built),
-        _suite_implications(built),
-        _suite_opposite(built),
-        _suite_local_cube(built),
-        _suite_split(built),
+        _suite("radicals agree", built, _radicals),
+        _suite("implication lattice", built, _implications),
+        _suite("opposite symmetry", built, _opposite),
+        _suite("local cube-zero semicommutative", built, _local_cube),
+        _suite("structure split", built, _split),
         _suite_enumeration(),
     ]
     return VerificationReport(results, suites, time.time() - t0)

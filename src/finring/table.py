@@ -185,15 +185,15 @@ class RingTable:
         return (self.mul == self.mul.T).all(axis=1)
 
     def pow(self, x: int, k: int) -> int:
-        """x**k for k >= 1 (k = 0 gives the unity)."""
+        """x**k for k >= 0 (k = 0 gives the unity), by repeated squaring."""
         x = _element(self, x)
         if k < 0:
             raise ValueError(f"exponent {k} is negative")
-        if k == 0:
-            return self.one
-        acc = x
-        for _ in range(k - 1):
-            acc = int(self.mul[acc, x])
+        acc = self.one
+        while k:
+            if k & 1:
+                acc = int(self.mul[acc, x])
+            x, k = int(self.mul[x, x]), k >> 1
         return acc
 
     def smul(self, k: int, x: int) -> int:

@@ -1,8 +1,14 @@
 """End-to-end verification of the named example-ring catalog."""
 
+import ast
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from finring.corpus import corpus, verify_corpus
+from finring.corpus import _local_cube, corpus, verify_corpus
+from finring.enumeration import enumerate_unital
+from finring.expr import parse_ring_expr
 from finring.properties import profile
 
 
@@ -109,3 +115,51 @@ def test_smaller_counterexamples_bound_the_order_64_notes():
     assert (u2f2.order, u2f2.semicommutative, u2f2.abelian) == (8, False, False)
     assert "NI" in by_name["Reflexive64"].note
     assert "of any kind" not in by_name["Abel64"].note
+
+
+def test_kv_digest_is_the_frozen_catalog_digest(report):
+    # the catalog benchmark freezes this digest; reading it from there keeps
+    # one copy, and drift fails here on every Python, not only in the bench
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    frozen = {
+        node.targets[0].id: node.value.value
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Constant)
+    }
+    digest = hashlib.sha256(report.as_kv().encode() + b"\0").hexdigest()
+    assert digest == frozen["CATALOG_KV_SHA256"]
+    assert "suite.implication_lattice.checked=256" in report.as_kv().splitlines()
+
+
+def test_local_cube_suite_takes_every_prime_residue():
+    # Zn(289) is local with residue F17 and J^2 = 0; GF(4)'s residue is no
+    # prime field, and Zn(16)'s radical cubes to (8), so neither is checked
+    for recipe, checked in (("Zn(169)", 1), ("Zn(289)", 1), ("GF(2,2)", 0), ("Zn(16)", 0)):
+        R = parse_ring_expr(recipe)
+        assert [ok for _, ok in _local_cube(R, profile(R))] == [True] * checked, recipe
+
+
+def test_class_counts_behind_the_a_smallest_notes():
+    def counts(order):
+        profs = [profile(R) for R in enumerate_unital(order)]
+        return [
+            sum(p.duo and not p.commutative for p in profs),
+            sum(p.duo and not p.reflexive for p in profs),
+            sum(p.semicommutative and not p.duo and not p.reflexive for p in profs),
+            sum(p.symmetric and not p.commutative for p in profs),
+        ]
+
+    # order 8 holds the only noncommutative class below 16, and it is none
+    # of these, so 16 is least.  There SkewF4x2 is one of 3 noncommutative
+    # duo classes, S16F2a and S16Z4a are the 2 duo nonreflexive ones, S16F2b
+    # and S16Z4b the 2 semicommutative ones neither duo nor reflexive, and
+    # SkewF4x2 the only noncommutative symmetric one
+    assert counts(8) == [0, 0, 0, 0]
+    assert counts(16) == [3, 2, 2, 1]
+    order4 = [profile(R) for R in enumerate_unital(4)]
+    assert [p.local for p in order4 if not p.reduced] == [True, True]  # Z4 and F2x
+    notes = {e.name: e.note for e in corpus()}
+    for name in ("Z4", "SkewF4x2", "S16F2a", "S16F2b"):
+        assert "a smallest" in notes[name], name
+    assert "the smallest noncommutative ring that is symmetric" in notes["SkewF4x2"]

@@ -1,5 +1,7 @@
 """Property predicates cross-checked against plain-Python exhaustive scans."""
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from finring.construct import cyclic, galois, matrix_ring, upper_triangular
 from finring.corpus import corpus
+from finring.errors import InternalCheckError
 from finring.enumeration import enumerate_unital
 from finring.expr import parse_ring_expr
 from finring.presentation import build_from_text
 from finring.properties import (
+    LATTICE,
     PropertyProfile,
+    _check_profile_invariants,
     _distinct_zero_rows,
     _high_powers,
     _nilpotency_index,
@@ -239,13 +244,51 @@ def test_is_duo_is_the_conjunction():
 
 def test_lattice_holds_across_all_small_unital_rings():
     # profile() itself raises InternalCheckError on any lattice violation,
-    # so sweeping every ring of these orders is the assertion
+    # so sweeping every ring of these orders is the assertion.  Every ring of
+    # order up to 27 is a product of rings of these orders and of fields,
+    # which is how far right_duo <=> left_duo is checked past Courter (1982).
     count = 0
-    for order in (4, 8, 9):
+    for order in (4, 8, 9, 16, 25, 27):
         for R in enumerate_unital(order):
             profile(R)
             count += 1
-    assert count == 4 + 11 + 4
+    assert count == 4 + 11 + 4 + 50 + 4 + 12
+
+
+# One case per rule of the lattice as it stood before it was folded into
+# chains: (catalog ring, flags flipped so that only this rule breaks, index of
+# the LATTICE entry that covers it).
+_BROKEN_RULES = {
+    "reduced => commutative": ("Z2", dict(commutative=False), 0),
+    "commutative => duo": ("Z4", dict(duo=False), 2),
+    "commutative => symmetric": ("Z4", dict(symmetric=False), 1),
+    "symmetric => reversible": ("SkewF4x2", dict(reversible=False, reflexive=False), 1),
+    "duo => semicommutative": ("S16F2a", dict(semicommutative=False), 2),
+    "reversible => semicommutative": ("U2F2", dict(reversible=True), 3),
+    "semicommutative => abelian": ("S16F2b", dict(abelian=False), 4),
+    "abelian => ni": ("Z4", dict(ni=False, two_primal=False, ps_i=False), 4),
+    "reversible <=> semicommutative & reflexive": (
+        "U2F2", dict(semicommutative=True, reflexive=True, abelian=True), 3),
+    "right_duo <=> left_duo": ("U2F2", dict(right_duo=True), 5),
+    "ni <=> two_primal": ("M2F2", dict(two_primal=True), 6),
+    "ps_i <=> ni": ("M2F2", dict(ps_i=True), 7),
+}
+
+
+@pytest.fixture(scope="module")
+def rule_profiles():
+    names = {name for name, _, _ in _BROKEN_RULES.values()}
+    return {e.name: profile(e.build()) for e in corpus() if e.name in names}
+
+
+@pytest.mark.parametrize("rule", sorted(_BROKEN_RULES))
+def test_each_broken_rule_raises_naming_its_lattice_entry(rule, rule_profiles):
+    name, flips, index = _BROKEN_RULES[rule]
+    p = dataclasses.replace(rule_profiles[name], **flips)
+    label = LATTICE[index][0]
+    assert [lbl for lbl, holds in LATTICE if not holds(p)] == [label]
+    with pytest.raises(InternalCheckError, match=re.escape(f"profile violates {label}")):
+        _check_profile_invariants(p)
 
 
 # -- shared scans over the small catalog and every small unital ring ----------

@@ -222,6 +222,16 @@ def test_smul_and_pow():
     assert R.pow(3, 0) == R.one
 
 
+def test_pow_squares_its_way_to_huge_exponents():
+    assert cyclic(7).pow(3, 10**18) == pow(3, 10**18, 7)
+    R = upper_triangular(galois(2), 2)
+    for x in range(R.order):
+        acc = R.one
+        for k in range(10):
+            assert R.pow(x, k) == acc, (x, k)
+            acc = int(R.mul[acc, x])
+
+
 @pytest.mark.parametrize(
     "call,error,match",
     [
