@@ -1,6 +1,9 @@
 """Isomorphism testing: invariant screens, backtracking search, verified maps."""
 
 import gc
+import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from finring.corpus import corpus
 from finring.enumeration import enumerate_unital
 from finring.expr import parse_ring_expr
 from finring.iso import (
+    DEFAULT_NODE_BUDGET,
     _class_ids,
     _spanning_trace,
     element_invariants,
@@ -31,8 +35,17 @@ from finring.table import RingTable, opposite, verify_axioms
 
 def relabel(R, seed):
     """The same ring with elements shuffled by a seeded permutation."""
-    rng = np.random.default_rng(seed)
-    pi = rng.permutation(R.order)
+    return permuted(R, np.random.default_rng(seed).permutation(R.order))
+
+
+def affine(R, a, b):
+    """R relabeled by x -> (a*x + b) mod n, a permutation when gcd(a, n) = 1.
+    Unlike relabel, it depends on no random number stream."""
+    return permuted(R, (a * np.arange(R.order) + b) % R.order)
+
+
+def permuted(R, pi):
+    """R with element x renamed pi[x]."""
     sigma = np.argsort(pi)
     add = pi[R.add[np.ix_(sigma, sigma)]]
     mul = pi[R.mul[np.ix_(sigma, sigma)]]
@@ -251,6 +264,54 @@ def test_relabelings_of_order_256_rings_are_decided_within_100k_nodes(name):
         r = is_isomorphic(S, R, node_budget=100_000)
         assert r.isomorphic is True, (seed, r.reason)
         assert_valid_mapping(S, R, r.mapping)
+
+
+# -- frozen answers -----------------------------------------------------------
+
+# sha256 of repr([(isomorphic, reason, mapping), ...]) over frozen_searches(),
+# computed before the search became one loop with one mapping check
+FROZEN_SEARCH_SHA256 = "3667e40bd49d2126b483310198dd06051b359de2a32d7659496a47e72f04a8db"
+
+
+def unit_above_half(n):
+    return next(a for a in itertools.count(n // 2 + 1) if math.gcd(a, n) == 1)
+
+
+def frozen_searches():
+    """Relabelings at five budgets, opposites, neighbours in the list, and
+    every pair of distinct entries that no fingerprint separates."""
+    rings = [e.build() for e in corpus() if e.order <= 64]
+    rings += [R for order in (4, 8, 9, 16) for R in enumerate_unital(order)]
+    for R, nxt in zip(rings, rings[1:] + rings[:1]):
+        n = R.order
+        for a, b in ((unit_above_half(n), 1), (n - 1, n // 3)):
+            S = affine(R, a, b)
+            for budget in (1, 10, 100, 1000, DEFAULT_NODE_BUDGET):
+                yield is_isomorphic(S, R, node_budget=budget)
+            yield is_isomorphic(S, nxt)
+        yield is_isomorphic(opposite(R), R)
+    for R in rings:
+        S = affine(R, unit_above_half(R.order), 1)
+        for T in rings:
+            if T is not R and fingerprint(T) == fingerprint(R):
+                yield is_isomorphic(S, T)
+
+
+def test_search_answers_are_the_frozen_ones():
+    answers = [(r.isomorphic, r.reason, r.mapping) for r in frozen_searches()]
+    assert len(answers) == 1276
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == FROZEN_SEARCH_SHA256
+
+
+@pytest.mark.parametrize("name,nodes", [("F2Q8", 8637), ("Rev256", 486)])
+def test_least_budget_that_decides_an_order_256_relabeling(name, nodes):
+    # one node per replayed op: a node less leaves the same search undecided
+    R = {e.name: e for e in corpus()}[name].build()
+    S = affine(R, R.order - 1, R.order // 3)
+    r = is_isomorphic(S, R, node_budget=nodes)
+    assert r.isomorphic is True
+    assert_valid_mapping(S, R, r.mapping)
+    assert is_isomorphic(S, R, node_budget=nodes - 1).reason == "budget"
 
 
 # -- memory -------------------------------------------------------------------
