@@ -1,10 +1,13 @@
 """Isomorphism testing for ring tables.
 
 Two-stage: a cheap invariant fingerprint rejects almost every non-isomorphic
-pair, then a backtracking search over generator images settles the rest.  The
-search replays a spanning trace (the op sequence that discovers each element
-from the generators), so each candidate costs O(n) before the final vectorized
-table check.
+pair, then a backtracking search over generator images (McKay 1981) settles
+the rest.  The search is one loop over an explicit stack holding a candidate
+iterator per generator.  Each image it places replays a spanning trace (the
+op sequence that discovers each element from the generators), so a candidate
+costs O(n), and each replayed op spends one node of the budget.  Every
+full-depth candidate is checked once, for bijection, addition and
+multiplication, before it is returned.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InternalCheckError
 from .properties import _nilpotency_index, jacobson_radical
 from .table import RingTable, _closure, _memoised, additive_type
 
@@ -150,15 +152,6 @@ class IsoResult:
         return self.isomorphic is True
 
 
-def _verify_iso(R: RingTable, S: RingTable, phi: np.ndarray) -> None:
-    if len(np.unique(phi)) != R.order:
-        raise InternalCheckError("candidate isomorphism is not a bijection")
-    if not np.array_equal(S.add[np.ix_(phi, phi)], phi[R.add]):
-        raise InternalCheckError("candidate isomorphism breaks addition")
-    if not np.array_equal(S.mul[np.ix_(phi, phi)], phi[R.mul]):
-        raise InternalCheckError("candidate isomorphism breaks multiplication")
-
-
 def is_isomorphic(R: RingTable, S: RingTable, node_budget: int = DEFAULT_NODE_BUDGET) -> IsoResult:
     """Decide R ~= S; may return inconclusive if node_budget is exhausted."""
     fa, fb = fingerprint(R), fingerprint(S)
@@ -166,85 +159,58 @@ def is_isomorphic(R: RingTable, S: RingTable, node_budget: int = DEFAULT_NODE_BU
         if va != vb:
             return IsoResult(False, None, f"fingerprint:{ka}")
 
-    gens, segments, trace_elems = _spanning_trace(R)
+    gens, segments, trace = _spanning_trace(R)
     inv_R = element_invariants(R)
     classes_S = _class_ids(S)
     cand = [classes_S[tuple(int(v) for v in inv_R[g])] for g in gens]
-
     tables = (S.add, S.mul)
     n = R.order
-    budget = [node_budget]
+    budget = node_budget
+    # phi[k] is the image of trace[k]; used holds the images taken so far
+    phi = [S.zero, S.one] if R.one != R.zero else [S.zero]
+    used = set(phi)
 
-    prefix = [S.zero, S.one] if R.one != R.zero else [S.zero]
-
-    def replay(phi, used, seg):
-        added = 0
+    def replay(seg) -> bool:
+        # one node per op; False on a repeated image or a spent budget
+        nonlocal budget
         for kind, i, j in seg:
-            budget[0] -= 1
-            if budget[0] < 0:
-                return -1
+            budget -= 1
             v = int(tables[kind][phi[i], phi[j]])
-            if v in used:
-                for _ in range(added):
-                    used.discard(phi.pop())
-                return 0
+            if budget < 0 or v in used:
+                return False
             phi.append(v)
             used.add(v)
-            added += 1
-        return 1
+        return True
 
-    def undo(phi, used, count):
-        for _ in range(count):
+    # one entry per placed generator: its candidate iterator, and len(phi)
+    # before its image
+    stack = []
+    deeper = len(used) == len(phi) and replay(segments[0])
+    while True:
+        if deeper and len(stack) < len(gens):
+            stack.append((iter(cand[len(stack)]), len(phi)))
+        elif deeper:
+            # replay covers only the spanning ops; the rest of both tables is
+            # a real constraint, so a full-depth candidate is still a candidate
+            mapping = np.empty(n, dtype=np.int64)
+            mapping[trace] = phi
+            if (
+                len(np.unique(mapping)) == n
+                and np.array_equal(S.add[np.ix_(mapping, mapping)], mapping[R.add])
+                and np.array_equal(S.mul[np.ix_(mapping, mapping)], mapping[R.mul])
+            ):
+                return IsoResult(True, mapping.tolist(), "search")
+        if not stack or budget < 0:
+            break
+        images, mark = stack[-1]
+        while len(phi) > mark:
             used.discard(phi.pop())
-
-    def full_check(phi):
-        # replay only covers the spanning ops; the rest of both tables is a
-        # real constraint, so a full-depth candidate is still just a candidate
-        mapping = np.empty(n, dtype=np.int64)
-        mapping[trace_elems] = phi
-        if not np.array_equal(S.add[np.ix_(mapping, mapping)], mapping[R.add]):
-            return None
-        if not np.array_equal(S.mul[np.ix_(mapping, mapping)], mapping[R.mul]):
-            return None
-        return mapping
-
-    phi0 = list(prefix)
-    used0 = set(phi0)
-    if len(used0) != len(phi0):
-        return IsoResult(False, None, "search")
-    st = replay(phi0, used0, segments[0])
-    if st == -1:
-        return IsoResult(None, None, "budget")
-    if st == 0:
-        return IsoResult(False, None, "search")
-
-    def dfs(depth, phi, used):
-        if depth == len(gens):
-            return full_check(phi)
-        for img in cand[depth]:
-            if img in used:
-                continue
+        img = next((x for x in images if x not in used), None)
+        if img is None:
+            stack.pop()
+            deeper = False
+        else:
             phi.append(img)
             used.add(img)
-            mark = len(phi)
-            st = replay(phi, used, segments[depth + 1])
-            if st == -1:
-                return "budget"
-            if st == 1:
-                got = dfs(depth + 1, phi, used)
-                if got is not None:
-                    return got
-            undo(phi, used, len(phi) - mark)
-            used.discard(phi.pop())
-        return None
-
-    out = dfs(0, phi0, used0) if gens else full_check(phi0)
-    # dfs refers to itself through its closure; breaking that cycle frees S's
-    # tables now rather than at the next full garbage collection
-    del dfs
-    if isinstance(out, str):
-        return IsoResult(None, None, "budget")
-    if out is None:
-        return IsoResult(False, None, "search")
-    _verify_iso(R, S, out)
-    return IsoResult(True, [int(v) for v in out], "search")
+            deeper = replay(segments[len(stack)])
+    return IsoResult(None, None, "budget") if budget < 0 else IsoResult(False, None, "search")
