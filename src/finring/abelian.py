@@ -152,20 +152,22 @@ def digit_tables(factors: Sequence[int], zero: int, add_rows, mul_rows):
 
 
 def partitions(total: int) -> list:
-    """All integer partitions of total, each sorted descending."""
-    if total == 0:
-        return [()]
+    """All integer partitions of total, each sorted descending, in reverse
+    lexicographic order: (3,), (2, 1), (1, 1, 1)."""
     out = []
-
-    def rec(rest, maxpart, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(rest, maxpart), 0, -1):
-            rec(rest - part, part, acc + [part])
-
-    rec(total, total, [])
-    return out
+    lam = [total] if total else []
+    while True:
+        out.append(tuple(lam))
+        rest = 0
+        while lam and lam[-1] == 1:
+            rest += lam.pop()
+        if not lam:
+            return out
+        # lower the last part above 1 by one, and refill greedily with parts
+        # no larger than it
+        part = lam.pop() - 1
+        count, left = divmod(rest + part + 1, part)
+        lam += [part] * count + ([left] if left else [])
 
 
 def _factorize(n: int) -> dict:

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-only table.py handles the per-ring memo, and no module calls argwhere, since
-table._first picks every witness.
+only table.py handles the per-ring memo, no module calls argwhere, since
+table._first picks every witness, and no nested function calls itself.
 
 __init__.py is skipped by the import check, since its imports are the
 package's re-exports.
@@ -116,3 +116,40 @@ def test_the_check_finds_argwhere():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_calls_argwhere(path):
     assert argwhere_calls(path.read_text()) == []
+
+
+def self_referencing_closures(source: str) -> list:
+    """(line, name) of each function defined inside another that refers to its
+    own name.  Its closure cell then holds the function itself, a reference
+    cycle that keeps every variable it closes over (a ring's tables, say)
+    alive until the next full garbage collection."""
+    tree = ast.parse(source)
+    found = set()
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(isinstance(node, ast.Name) and node.id == inner.name for node in ast.walk(inner)):
+                found.add((inner.lineno, inner.name))
+    return sorted(found)
+
+
+def test_the_check_finds_a_self_referencing_closure():
+    source = (
+        "def outer(n):\n"
+        "    def rec(k):\n"
+        "        return rec(k - 1) if k else 0\n"
+        "    def leaf(k):\n"
+        "        return k\n"
+        "    return rec(n) + leaf(n)\n"
+        "def top(k):\n"
+        "    return top(k - 1) if k else 0\n"
+    )
+    assert self_referencing_closures(source) == [(2, "rec")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_nested_function_refers_to_itself(path):
+    assert self_referencing_closures(path.read_text()) == []

@@ -27,7 +27,7 @@ from finring import (
     upper_triangular,
     verify_axioms,
 )
-from finring.abelian import abelian_groups_of_order
+from finring.abelian import abelian_groups_of_order, partitions
 from finring.corpus import corpus
 from finring.enumeration import enumerate_unital
 from finring.errors import InternalCheckError
@@ -207,6 +207,19 @@ def test_additive_type_of_every_abelian_group_up_to_order_64():
             for d in factors[1:]:
                 R = direct_sum(R, cyclic(d))
             assert additive_type(R) == tuple(sorted(factors)), factors
+
+
+def test_partitions_are_all_of_them_in_reverse_lexicographic_order():
+    # p(0..15), OEIS A000041; abelian_groups_of_order and the enumeration's
+    # stable class sort both depend on this order
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
+    for total, count in enumerate(counts):
+        got = partitions(total)
+        assert len(set(got)) == len(got) == count, total
+        assert got == sorted(got, reverse=True), total
+        for lam in got:
+            assert sum(lam) == total and list(lam) == sorted(lam, reverse=True) and 0 not in lam
+    assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def test_characteristic():
