@@ -234,7 +234,7 @@ def degree_bound(g: int) -> int:
 
 
 def _asc_index(w, g: int) -> int:
-    off = _ncols(g, len(w) - 1) if w else 0
+    off = _ncols(g, len(w) - 1)
     v = 0
     for c in w:
         v = v * g + c
@@ -300,10 +300,10 @@ def bounded_ideal_span(P: Presentation, D: int) -> ModuleMatrix:
             raise PresentationError(f"degree bound {D} below relation degree {dr}")
         for la in range(D - dr + 1):
             for ia in range(g**la):
-                w1 = _asc_word(_ncols(g, la - 1) + ia if la else 0, g)
+                w1 = _asc_word(_ncols(g, la - 1) + ia, g)
                 for lb in range(D - dr - la + 1):
                     for ib in range(g**lb):
-                        w2 = _asc_word(_ncols(g, lb - 1) + ib if lb else 0, g)
+                        w2 = _asc_word(_ncols(g, lb - 1) + ib, g)
                         row = np.zeros(nc, dtype=np.int64)
                         for w, c in rel:
                             col = nc - 1 - _asc_index(w1 + w + w2, g)
@@ -426,8 +426,7 @@ def _coset_basis(P: Presentation, B: ModuleMatrix) -> _CosetBasis:
 
     # surviving coset basis: free columns plus torsion (non-unit) pivots
     pv = dict(B.pivots)
-    s_cols = [c for c in range(B.ncols) if pv.get(c, 1) != 0]
-    s_cols.sort(key=lambda c: _asc_index(B.word_at(c), g))  # ascending deg-lex
+    s_cols = [c for c in reversed(range(B.ncols)) if pv.get(c, 1) != 0]  # ascending deg-lex
     basis_words = tuple(B.word_at(c) for c in s_cols)
     ranges = tuple(p ** pv[c] if c in pv else q for c in s_cols)
 

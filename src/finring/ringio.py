@@ -9,11 +9,18 @@ axioms before handing the table out.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
 from .errors import RingFormatError
 from .table import MAX_ORDER, RingTable, checked
+
+# RINGTAB numbers are ASCII digits; int() and numpy's string cast would also
+# read "1_0", "+1" and non-ASCII digits.  A minus sign makes a number out of
+# range, "-0" included.
+_NUMBER = re.compile(r"-?[0-9]+")
+_DIGIT_LINES = re.compile(r"[0-9\s]*")
 
 
 def dumps_ring(R: RingTable) -> str:
@@ -46,24 +53,26 @@ def _intline(lines, i, key, lo, hi):
     parts = lines[i].split()
     if len(parts) != 2 or parts[0] != key:
         raise RingFormatError(f"expected {key!r} and a value, got {lines[i]!r}", line=i + 1)
-    try:
-        value = int(parts[1])
-    except ValueError:
+    text = parts[1]
+    if not _NUMBER.fullmatch(text):
         raise RingFormatError(f"non-integer value in {lines[i]!r}", line=i + 1)
-    if not lo <= value <= hi:
-        raise RingFormatError(f"{key} {value} is outside {lo}..{hi}", line=i + 1)
+    value = int(text)
+    if text[0] == "-" or not lo <= value <= hi:
+        raise RingFormatError(f"{key} {text} is outside {lo}..{hi}", line=i + 1)
     return value
 
 
 def _table_rows(lines, start, n, what):
-    # one conversion for the whole table; a ragged, non-integer or
+    # one check and one conversion for the whole table; a ragged, non-digit or
     # out-of-range table falls through to the row walk, which names the line
-    try:
-        T = np.array([line.split() for line in lines[start : start + n]], dtype=np.int64)
-        if T.shape == (n, n) and T.min() >= 0 and T.max() < n:
-            return T.astype(np.int16)
-    except (ValueError, OverflowError):
-        pass
+    block = lines[start : start + n]
+    if _DIGIT_LINES.fullmatch("\n".join(block)):
+        try:
+            T = np.array([line.split() for line in block], dtype=np.int64)
+            if T.shape == (n, n) and T.max() < n:
+                return T.astype(np.int16)
+        except (ValueError, OverflowError):
+            pass
     rows = []
     for r in range(n):
         i = start + r
@@ -74,11 +83,10 @@ def _table_rows(lines, start, n, what):
             raise RingFormatError(
                 f"{what} row {r} has {len(parts)} entries, expected {n}", line=i + 1
             )
-        try:
-            vals = [int(v) for v in parts]
-        except ValueError:
+        if not all(_NUMBER.fullmatch(v) for v in parts):
             raise RingFormatError(f"non-integer entry in {what} row {r}", line=i + 1)
-        if any(v < 0 or v >= n for v in vals):
+        vals = [int(v) for v in parts]
+        if any(v[0] == "-" for v in parts) or max(vals) >= n:
             raise RingFormatError(f"{what} row {r} entry out of range", line=i + 1)
         rows.append(vals)
     return np.array(rows, dtype=np.int16)
