@@ -13,6 +13,7 @@ from finring.corpus import corpus
 from finring.errors import InternalCheckError
 from finring.enumeration import enumerate_unital
 from finring.expr import parse_ring_expr
+from finring.iso import is_isomorphic
 from finring.presentation import build_from_text
 from finring.properties import (
     LATTICE,
@@ -42,6 +43,7 @@ from finring.properties import (
     symmetric_witness,
     upper_nilradical,
 )
+from finring.ringio import dumps_ring, loads_ring
 from finring.table import (
     ElementSet,
     RingTable,
@@ -595,6 +597,23 @@ def test_zero_product_predicates_survive_relabeling(rings_to_64, data):
     assert_scans_match_the_gathers(name, S)
     assert semicommutative_witness(S) == brute_semicommutative_witness(S), name
     assert reflexive_witness(S) == brute_reflexive_witness(S), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_relabeled_ring_is_isomorphic_with_the_same_profile_and_file(rings_to_64, data):
+    name, R = data.draw(st.sampled_from(rings_to_64), label="ring")
+    pi = np.array(data.draw(st.permutations(range(R.order)), label="permutation"))
+    S = relabeled(R, pi)
+    r = is_isomorphic(R, S)
+    assert r.isomorphic is True, (name, r.reason)
+    phi = np.array(r.mapping)
+    assert sorted(r.mapping) == list(range(R.order)), name
+    assert np.array_equal(S.add[np.ix_(phi, phi)], phi[R.add]), name
+    assert np.array_equal(S.mul[np.ix_(phi, phi)], phi[R.mul]), name
+    # as_kv lists every BOOL_KEYS flag and every count of the profile
+    assert profile(S).as_kv() == profile(R).as_kv(), name
+    assert loads_ring(dumps_ring(S)).table_equal(S), name
 
 
 def test_verify_axioms_and_zero_row_bits_share_the_additive_generators():
