@@ -16,10 +16,9 @@ import numpy as np
 from .errors import RingFormatError
 from .table import MAX_ORDER, RingTable, checked
 
-# RINGTAB numbers are ASCII digits; int() and numpy's string cast would also
-# read "1_0", "+1" and non-ASCII digits.  A minus sign makes a number out of
-# range, "-0" included.
-_NUMBER = re.compile(r"-?[0-9]+")
+# RINGTAB numbers are ASCII decimal integers; int() and numpy's string cast
+# would also read "1_0", "+1", "-0" and non-ASCII digits
+_NUMBER = re.compile(r"[0-9]+|-0*[1-9][0-9]*")
 _DIGIT_LINES = re.compile(r"[0-9\s]*")
 
 
@@ -47,18 +46,27 @@ def export_ring(R: RingTable, path) -> None:
         fh.write(data)
 
 
+def _int(token: str):
+    """token's value, or None if it is not a RINGTAB number."""
+    if not _NUMBER.fullmatch(token):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # past int()'s digit limit
+        return None
+
+
 def _intline(lines, i, key, lo, hi):
     if i >= len(lines):
         raise RingFormatError(f"missing {key!r} line", line=i + 1)
     parts = lines[i].split()
     if len(parts) != 2 or parts[0] != key:
         raise RingFormatError(f"expected {key!r} and a value, got {lines[i]!r}", line=i + 1)
-    text = parts[1]
-    if not _NUMBER.fullmatch(text):
+    value = _int(parts[1])
+    if value is None:
         raise RingFormatError(f"non-integer value in {lines[i]!r}", line=i + 1)
-    value = int(text)
-    if text[0] == "-" or not lo <= value <= hi:
-        raise RingFormatError(f"{key} {text} is outside {lo}..{hi}", line=i + 1)
+    if not lo <= value <= hi:
+        raise RingFormatError(f"{key} {value} is outside {lo}..{hi}", line=i + 1)
     return value
 
 
@@ -83,10 +91,10 @@ def _table_rows(lines, start, n, what):
             raise RingFormatError(
                 f"{what} row {r} has {len(parts)} entries, expected {n}", line=i + 1
             )
-        if not all(_NUMBER.fullmatch(v) for v in parts):
+        vals = [_int(v) for v in parts]
+        if None in vals:
             raise RingFormatError(f"non-integer entry in {what} row {r}", line=i + 1)
-        vals = [int(v) for v in parts]
-        if any(v[0] == "-" for v in parts) or max(vals) >= n:
+        if any(v < 0 or v >= n for v in vals):
             raise RingFormatError(f"{what} row {r} entry out of range", line=i + 1)
         rows.append(vals)
     return np.array(rows, dtype=np.int16)

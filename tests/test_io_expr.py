@@ -96,22 +96,24 @@ def test_out_of_range_zero_or_one_is_rejected_at_its_line(lineno, header):
     reject(lines, lineno, f"{header} is outside 0..3")
 
 
-@pytest.mark.parametrize("token,header_error,row_error", [
-    ("0_0", "non-integer", "non-integer entry in addition row 1"),
-    ("+0", "non-integer", "non-integer entry in addition row 1"),
-    ("-0", "zero -0 is outside 0..3", "addition row 1 entry out of range"),
-    ("\u0660", "non-integer", "non-integer entry in addition row 1"),  # Arabic-Indic zero
-], ids=["underscore", "plus", "minus-zero", "arabic-indic"])
-def test_only_ascii_digits_spell_a_number(token, header_error, row_error):
-    # each token reads as 0 under int(), which Zn(4)'s zero line and the last
-    # entry of its addition row 1 both hold
+@pytest.mark.parametrize("token", ["0_0", "+0", "-0", "\u0660", "0" * 5000],
+                         ids=["underscore", "plus", "minus-zero", "arabic-indic", "5000-digits"])
+def test_only_ascii_digits_spell_a_number(token):
+    # int() reads each token but the last as 0, which Zn(4)'s zero line and
+    # the last entry of its addition row 1 both hold
     lines = good_lines()
     lines[2] = f"zero {token}"
-    reject(lines, 3, header_error)
+    reject(lines, 3, "non-integer value")
     lines = good_lines()
     assert lines[6] == "1 2 3 0"
     lines[6] = f"1 2 3 {token}"
-    reject(lines, 7, row_error)
+    reject(lines, 7, "non-integer entry in addition row 1")
+
+
+def test_a_negative_entry_is_out_of_range():
+    lines = good_lines()
+    lines[6] = "1 2 3 -01"
+    reject(lines, 7, "addition row 1 entry out of range")
 
 
 def test_short_label_line():
