@@ -183,7 +183,8 @@ def is_isomorphic(R: RingTable, S: RingTable, node_budget: int = DEFAULT_NODE_BU
         return True
 
     # one entry per placed generator: its candidate iterator, and len(phi)
-    # before its image
+    # before its image.  deeper: the last replay extended phi cleanly, so the
+    # next generator (or, past the last, the mapping check) comes next
     stack = []
     deeper = len(used) == len(phi) and replay(segments[0])
     while True:
