@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .abelian import CoordGroup, digit_tables, product_tables
+from .abelian import CoordGroup, _factorize, digit_tables, product_tables
 from .errors import InternalCheckError, TableStructureError
 from .table import MAX_ORDER, RingTable, _first_triple, checked
 
@@ -94,7 +94,7 @@ def galois(p: int, k: int = 1) -> RingTable:
     # p and k are bounded before the trial division and p**k, and not formatted
     if p > MAX_ORDER or k > MAX_ORDER.bit_length() or (n := p**k) > MAX_ORDER:
         raise TableStructureError(f"field order p^k exceeds cap {MAX_ORDER}")
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if _factorize(p) != {p: 1}:
         raise TableStructureError(f"{p} is not prime")
     # basis products w^i w^j = w^(i+j); row t of powers is w^t mod f
     f = _least_irreducible(p, k)

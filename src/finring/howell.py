@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .abelian import _factorize
+
 
 def gcdex(a: int, b: int):
     """(g, x, y) with g = gcd(a, b) = a*x + b*y, g >= 0."""
@@ -31,14 +33,10 @@ def prime_power(q: int):
     """(p, k) with q = p^k; raises on non prime powers."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
+    fac = _factorize(q)
+    if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
+    ((p, k),) = fac.items()
     return p, k
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -35,18 +36,20 @@ from .table import (
 )
 
 
-def _corner(R: RingTable, e: int, f: int) -> list:
-    """Element set e*R*f, ascending."""
-    return np.unique(R.mul[R.mul[e, :], f]).tolist()
+def _corner(R: RingTable, e: int, f: int) -> ElementSet:
+    """The element set e*R*f."""
+    mask = np.zeros(R.order, dtype=bool)
+    mask[R.mul[R.mul[e, :], f]] = True
+    return ElementSet(R, mask)
 
 
-def _sum_of(R: RingTable, parts) -> np.ndarray:
-    """Sorted elements of the sum of additive subgroups: the closure of their union."""
+def _sum_of(R: RingTable, parts) -> ElementSet:
+    """The sum of additive subgroups, given as element sets: the closure of their union."""
     mask = np.zeros(R.order, dtype=bool)
     mask[R.zero] = True
     for part in parts:
-        mask[list(part)] = True
-    return np.flatnonzero(_closure(mask, R.add))
+        mask |= part.mask
+    return ElementSet(R, _closure(mask, R.add))
 
 
 @dataclass
@@ -54,8 +57,8 @@ class Decomposition:
     ring: RingTable
     idems: tuple  # orthogonal idempotents summing to 1, by quotient block
     components: tuple  # corner rings e_i R e_i as RingTables
-    component_elements: tuple  # their element sets inside the parent
-    modules: dict  # (i, j) -> sorted element list of e_i R e_j, i != j
+    component_elements: tuple  # the ElementSet of each corner inside the parent
+    modules: dict  # (i, j) -> ElementSet of the glue module e_i R e_j, i != j
     s_elements: ElementSet  # internal direct sum of the corners
     m_elements: ElementSet  # internal direct sum of the off-diagonal modules
     all_components_local: bool
@@ -85,29 +88,18 @@ def peirce(R: RingTable) -> Decomposition:
     Q = quotient(R, J)
     proj = projection_map(R, J)
 
-    cents = sorted(central_idempotents(Q).members - {Q.zero})
-    prim = []
-    for e in cents:
-        parts = [f for f in cents if f != e and Q.mul[f, e] == f]
-        if not parts:
-            prim.append(e)
-    prim.sort()
+    cents = [e for e in central_idempotents(Q) if e != Q.zero]
+    prim = [e for e in cents if not any(f != e and Q.mul[f, e] == f for f in cents)]
 
-    idems_R = idempotents(R).indices()
+    # each block lifts to the first idempotent over it orthogonal to those chosen
+    idem = idempotents(R).mask
     chosen = []
     for eq in prim:
-        found = None
-        for cand in idems_R:
-            if proj[cand] != eq:
-                continue
-            if all(
-                R.mul[cand, f] == R.zero and R.mul[f, cand] == R.zero for f in chosen
-            ):
-                found = int(cand)
-                break
-        if found is None:
+        orth = (R.mul[:, chosen] == R.zero).all(axis=1) & (R.mul[chosen] == R.zero).all(axis=0)
+        w = _first(idem & (proj == eq) & orth)
+        if w is None:
             raise InternalCheckError("idempotent lift failed for a central block")
-        chosen.append(found)
+        chosen.append(w[0])
 
     total = R.zero
     for e in chosen:
@@ -115,18 +107,12 @@ def peirce(R: RingTable) -> Decomposition:
     if total != R.one:
         raise InternalCheckError("lifted idempotents do not sum to 1")
 
-    m = len(chosen)
-    comp_sets = [tuple(_corner(R, e, e)) for e in chosen]
+    comp_sets = tuple(_corner(R, e, e) for e in chosen)
     components = []
     for i, (e, cs) in enumerate(zip(chosen, comp_sets)):
-        pos = np.full(R.order, -1, dtype=np.int64)
-        pos[list(cs)] = np.arange(len(cs))
-        components.append(_induced(R, cs, pos, e, f"corner{i+1}[{R.provenance}]"))
-    modules = {}
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                modules[(i, j)] = _corner(R, chosen[i], chosen[j])
+        pos = np.where(cs.mask, np.cumsum(cs.mask) - 1, -1)
+        components.append(_induced(R, cs.indices(), pos, e, f"corner{i+1}[{R.provenance}]"))
+    modules = {(i, j): _corner(R, e, f) for (i, e), (j, f) in permutations(enumerate(chosen), 2)}
 
     s_set = _sum_of(R, comp_sets)
     m_set = _sum_of(R, modules.values())
@@ -138,8 +124,7 @@ def peirce(R: RingTable) -> Decomposition:
     if len(s_set) * len(m_set) != R.order:
         raise InternalCheckError("decomposition sizes do not reconstruct the ring order")
 
-    m_es = ElementSet.from_iterable(R, m_set)
-    if not m_es.members <= J.members:
+    if (m_set.mask & ~J.mask).any():
         raise InternalCheckError("glue module is not inside the radical")
 
     # each corner must be primary: corner/J(corner) has only trivial central idempotents
@@ -148,16 +133,16 @@ def peirce(R: RingTable) -> Decomposition:
         if len(central_idempotents(CQ)) != (2 if CQ.order > 1 else 1):
             raise InternalCheckError(f"corner {i+1} is not primary")
 
-    msq = bool((R.mul[np.ix_(m_set, m_set)] == R.zero).all())
+    msq = bool((R.mul[m_set.mask][:, m_set.mask] == R.zero).all())
 
     dec = Decomposition(
         ring=R,
         idems=tuple(chosen),
         components=tuple(components),
-        component_elements=tuple(comp_sets),
+        component_elements=comp_sets,
         modules=modules,
-        s_elements=ElementSet.from_iterable(R, s_set),
-        m_elements=m_es,
+        s_elements=s_set,
+        m_elements=m_set,
         all_components_local=all(is_local(C) for C in components),
         m_nonzero=len(m_set) > 1,
         m_square_zero=msq,

@@ -58,17 +58,15 @@ def _nilpotency_index(R: RingTable) -> np.ndarray:
 @_memoised
 def nilpotent_set(R: RingTable) -> ElementSet:
     """All x with x^k = 0 for some k."""
-    return ElementSet.from_iterable(R, np.flatnonzero(_nilpotency_index(R) > 0))
+    return ElementSet(R, _nilpotency_index(R) > 0)
 
 
 @_memoised
 def jacobson_radical(R: RingTable) -> ElementSet:
     """{x : 1 - r*x is a unit for every r}; checked to be a nil two-sided ideal."""
     vals = R.add[R.one, R.neg[R.mul]]  # vals[r, x] = 1 - r*x
-    mask = R.unit_mask[vals].all(axis=0)
-    out = ElementSet.from_iterable(R, np.flatnonzero(mask))
-    nil = nilpotent_set(R)
-    if not out.members <= nil.members:
+    out = ElementSet(R, R.unit_mask[vals].all(axis=0))
+    if (out.mask & ~nilpotent_set(R).mask).any():
         raise InternalCheckError("jacobson radical contains a non-nilpotent element")
     if not out.is_ideal():
         raise InternalCheckError("jacobson radical is not a two-sided ideal")
@@ -84,13 +82,12 @@ def upper_nilradical(R: RingTable) -> ElementSet:
     for x in np.flatnonzero(nil):
         if acc[x]:
             continue
-        I = ideal_generated(R, [int(x)])
-        if not nil[I.indices()].all():
+        I = ideal_generated(R, [int(x)]).mask
+        if (I & ~nil).any():
             continue
-        acc |= I.mask
-        acc = _closure(acc, R.add)
-    out = ElementSet.from_iterable(R, np.flatnonzero(acc))
-    if not nil[out.indices()].all() or not out.is_ideal():
+        acc = _closure(acc | I, R.add)
+    out = ElementSet(R, acc)
+    if (acc & ~nil).any() or not out.is_ideal():
         raise InternalCheckError("upper nilradical accumulation broke ideal/nil state")
     return out
 
@@ -107,7 +104,7 @@ def lower_nilradical(R: RingTable) -> ElementSet:
         cand = mask[sandwich].all(axis=1)
         new = ideal_generated(R, np.flatnonzero(cand)).mask
         if (new == mask).all():
-            return ElementSet.from_iterable(R, np.flatnonzero(mask))
+            return ElementSet(R, mask)
         mask = new
 
 

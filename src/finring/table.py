@@ -6,10 +6,13 @@ array indexing.  Tables are immutable once constructed; all derived data is
 memoised on the instance by `_memoised`, the one place the memo rule lives.
 Every witness of a broken law or failed predicate is the first violation in
 row-major order, as `_first` picks it, the one place the witness rule lives.
-The two subset rules live here too: `_closure` is the least superset closed
-under given operations (ideals are the additive closure of R*S*R), and
-`_induced` is the ring a subring or a set of cosets induces (corners and
-quotients).
+A subset of the elements has one format, an `ElementSet`: the ring and a
+read-only boolean mask of shape (n,), from which its members, length and
+indices are read.  Every producer hands over a mask; `ElementSet.from_iterable`
+is only for element indices from outside the package.  The two subset rules
+live here too: `_closure` is the least superset closed under given operations
+(ideals are the additive closure of R*S*R), and `_induced` is the ring a
+subring or a set of cosets induces (corners and quotients).
 """
 
 from __future__ import annotations
@@ -67,24 +70,28 @@ def _as_table(arr, n: int, name: str) -> np.ndarray:
 def _memoised(fn):
     """fn(R), computed once per ring and kept in R._cache under fn's qualified name.
 
-    An ndarray is stored read-only.  An ElementSet is stored as its members
-    and rewrapped on each call: it refers back to R, so storing it would keep
-    R alive, after its last use, until a full garbage collection.
+    An ndarray is stored read-only.  An ElementSet is stored as its mask,
+    already read-only, and rewrapped on each call: it refers back to R, so
+    storing it would keep R alive, after its last use, until a full garbage
+    collection.  fn returns one type, so its first call settles as_set.
     """
     key = fn.__qualname__
+    as_set = False
 
     @functools.wraps(fn)
     def memoised(R):
+        nonlocal as_set
         cache = R._cache
         if key not in cache:
             out = fn(R)
-            if isinstance(out, np.ndarray):
+            as_set = isinstance(out, ElementSet)
+            if as_set:
+                out = out.mask
+            elif isinstance(out, np.ndarray):
                 out.setflags(write=False)
-            elif isinstance(out, ElementSet):
-                out = out.members
             cache[key] = out
         out = cache[key]
-        return ElementSet(R, out) if type(out) is frozenset else out
+        return ElementSet(R, out) if as_set else out
 
     return memoised
 
@@ -218,38 +225,54 @@ class RingTable:
         return f"<RingTable order={self.order}{src}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementSet:
-    """An explicit subset of a ring's elements."""
+    """A subset of a ring's elements: a read-only bool mask of shape (n,)."""
 
     ring: RingTable
-    members: frozenset
+    mask: np.ndarray
+
+    def __post_init__(self):
+        n, mask = self.ring.order, np.asarray(self.mask)
+        if mask.dtype != bool or mask.shape != (n,):
+            raise ValueError(f"mask is {mask.dtype} of shape {mask.shape}, not bool of shape ({n},)")
+        if mask.flags.writeable:
+            mask = mask.copy()
+            mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_iterable(cls, ring: RingTable, it: Iterable[int]) -> "ElementSet":
-        return cls(ring, frozenset(_element(ring, x) for x in it))
-
-    def __contains__(self, x) -> bool:
-        return int(x) in self.members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
+        """The set of the given element indices; IndexError outside 0..n-1."""
+        mask = np.zeros(ring.order, dtype=bool)
+        mask[[_element(ring, x) for x in it]] = True
+        return cls(ring, mask)
 
     @property
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.ring.order, dtype=bool)
-        m[list(self.members)] = True
-        return m
+    def members(self) -> frozenset:
+        return frozenset(self)
+
+    def __contains__(self, x) -> bool:
+        x = int(x)
+        return 0 <= x < self.ring.order and bool(self.mask[x])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.indices().tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+    def __eq__(self, other):
+        if not isinstance(other, ElementSet):
+            return NotImplemented
+        return self.ring is other.ring and np.array_equal(self.mask, other.mask)
 
     def indices(self) -> np.ndarray:
-        return np.array(sorted(self.members), dtype=np.int64)
+        return np.flatnonzero(self.mask)
 
     def is_ideal(self) -> bool:
         """Two-sided ideal test: holds 0, closed under +, absorbing R on both sides."""
-        return self.ring.zero in self.members and _ideal_witness(self.ring, self.mask) is None
+        return bool(self.mask[self.ring.zero]) and _ideal_witness(self.ring, self.mask) is None
 
 
 @dataclass
@@ -430,21 +453,17 @@ def checked(R: RingTable) -> RingTable:
 
 def units(R: RingTable) -> ElementSet:
     """All elements with a two-sided multiplicative inverse."""
-    return ElementSet.from_iterable(R, np.flatnonzero(R.unit_mask))
+    return ElementSet(R, R.unit_mask)
 
 
 def idempotents(R: RingTable) -> ElementSet:
     """All x with x*x = x."""
-    n = R.order
-    diag = R.mul[np.arange(n), np.arange(n)]
-    return ElementSet.from_iterable(R, np.flatnonzero(diag == np.arange(n)))
+    ids = np.arange(R.order)
+    return ElementSet(R, R.mul[ids, ids] == ids)
 
 
 def central_idempotents(R: RingTable) -> ElementSet:
-    n = R.order
-    diag = R.mul[np.arange(n), np.arange(n)]
-    m = (diag == np.arange(n)) & R.central_mask
-    return ElementSet.from_iterable(R, np.flatnonzero(m))
+    return ElementSet(R, idempotents(R).mask & R.central_mask)
 
 
 # -- derived rings ----------------------------------------------------------
@@ -530,14 +549,13 @@ def ideal_generated(R: RingTable, seeds: Iterable[int]) -> ElementSet:
     mask[[_element(R, s) for s in seeds]] = True
     mask[R.mul[:, mask]] = True
     mask[R.mul[mask, :]] = True
-    return ElementSet.from_iterable(R, np.flatnonzero(_closure(mask, R.add)))
+    return ElementSet(R, _closure(mask, R.add))
 
 
 def right_annihilator(R: RingTable, a: int) -> ElementSet:
     """{t : x*t = 0 for every x in the right ideal aR}.  Always a two-sided ideal."""
     aR = np.unique(R.mul[_element(R, a), :])
-    ann = np.flatnonzero((R.mul[np.ix_(aR, np.arange(R.order))] == R.zero).all(axis=0))
-    out = ElementSet.from_iterable(R, ann)
+    out = ElementSet(R, (R.mul[aR] == R.zero).all(axis=0))
     if not out.is_ideal():
         raise InternalCheckError(f"right annihilator of element {a} is not a two-sided ideal")
     return out

@@ -12,10 +12,12 @@ from finring.construct import (
     nonabelian_reflexive_64,
     upper_triangular,
 )
+from finring.corpus import corpus
 from finring.enumeration import enumerate_unital
 from finring.errors import InternalCheckError
 from finring.peirce import _verify_split_model, decomposition_report, peirce
-from finring.table import ElementSet, direct_sum
+from finring.properties import jacobson_radical
+from finring.table import ElementSet, direct_sum, idempotents, projection_map
 
 
 def check_internal_sum(R, D):
@@ -132,6 +134,24 @@ def test_report_agrees_on_every_small_unital_ring():
             assert decomposition_report(R).overall_pass is True
 
 
+def test_each_block_lifts_to_the_least_idempotent_orthogonal_to_those_before():
+    # the candidate loop the lift's one mask per block replaced, as the reference
+    rings = [e.build() for e in corpus() if e.order <= 64]
+    rings += [R for order in (4, 8, 9) for R in enumerate_unital(order)]
+    for R in rings:
+        D = peirce(R)
+        proj = projection_map(R, jacobson_radical(R))
+        blocks = [proj[e] for e in D.idems]
+        assert blocks == sorted(blocks), R.provenance
+        for i, (e, block) in enumerate(zip(D.idems, blocks)):
+            want = next(
+                c for c in idempotents(R)
+                if proj[c] == block
+                and all(R.mul[c, f] == R.zero and R.mul[f, c] == R.zero for f in D.idems[:i])
+            )
+            assert e == want and type(e) is int, R.provenance
+
+
 @pytest.mark.parametrize("make", [
     lambda: upper_triangular(galois(3), 2),
     lambda: block_triangular(galois(2), (1, 2)),
@@ -145,6 +165,6 @@ def test_split_model_refuses_a_glue_set_that_no_longer_splits_the_ring(make):
     s = max(D.s_elements.members)
     # too few sums, too many, and the right number with a repeat
     for members in ({R.zero}, set(range(R.order)), set(m[:-1]) | {s}):
-        broken = dataclasses.replace(D, m_elements=ElementSet(R, frozenset(members)))
+        broken = dataclasses.replace(D, m_elements=ElementSet.from_iterable(R, members))
         with pytest.raises(InternalCheckError, match="S\\+M splitting"):
             _verify_split_model(broken)

@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 only table.py handles the per-ring memo, no module calls argwhere, since
-table._first picks every witness, and no nested function calls itself.
+table._first picks every witness, no module calls ElementSet.from_iterable,
+since every producer of a subset hands over its mask, and no nested function
+calls itself.
 
 __init__.py is skipped by the import check, since its imports are the
 package's re-exports.
@@ -116,6 +118,38 @@ def test_the_check_finds_argwhere():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_calls_argwhere(path):
     assert argwhere_calls(path.read_text()) == []
+
+
+def from_iterable_calls(source: str) -> list:
+    """Line of each call of a from_iterable attribute, such as
+    ElementSet.from_iterable(R, ...)."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "from_iterable"
+    )
+
+
+def test_the_check_finds_from_iterable():
+    source = (
+        "from .table import ElementSet\n"
+        "class S:\n"
+        "    @classmethod\n"
+        "    def from_iterable(cls, ring, it):\n"
+        "        return cls(ring, it)\n"
+        "def f(R, mask):\n"
+        "    a = ElementSet(R, mask)\n"
+        "    return a, ElementSet.from_iterable(R, np.flatnonzero(mask))\n"
+    )
+    assert from_iterable_calls(source) == [8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_calls_from_iterable(path):
+    assert from_iterable_calls(path.read_text()) == []
 
 
 def self_referencing_closures(source: str) -> list:

@@ -19,6 +19,7 @@ from finring import (
     galois,
     ideal_generated,
     idempotents,
+    jacobson_radical,
     matrix_ring,
     opposite,
     quotient,
@@ -276,6 +277,52 @@ def test_element_set_rejects_a_member_outside_the_ring(members):
     bad = next(x for x in members if not 0 <= x < 5)
     with pytest.raises(IndexError, match=rf"element index {bad} outside 0\.\.4"):
         ElementSet.from_iterable(cyclic(5), members)
+
+
+def test_element_set_membership_is_false_outside_the_ring():
+    S = ElementSet.from_iterable(cyclic(5), [0, 4])
+    # no numpy wraparound: -1 would read mask[4]
+    assert -1 not in S and 5 not in S and 7 not in S
+    assert 4 in S and 0 in S and 2 not in S
+
+
+def test_element_set_members_are_python_ints_in_ascending_order():
+    R = cyclic(12)
+    S = ideal_generated(R, [9])
+    assert list(S) == [0, 3, 6, 9]
+    assert S.members == {0, 3, 6, 9}
+    assert all(type(x) is int for x in S.members)
+    assert all(type(x) is int for x in S)
+    assert len(S) == 4 and S.indices().tolist() == [0, 3, 6, 9]
+
+
+def test_element_sets_of_different_rings_are_unequal():
+    A, B = cyclic(6), cyclic(6)
+    assert ElementSet.from_iterable(A, [0, 3]) == ideal_generated(A, [3])
+    assert ElementSet.from_iterable(A, [0, 3]) != ElementSet.from_iterable(B, [0, 3])
+    assert ElementSet.from_iterable(A, [0, 3]) != ElementSet.from_iterable(A, [0, 2, 4])
+
+
+def test_a_memoised_radical_mask_refuses_writes():
+    R = upper_triangular(galois(2), 2)
+    J = jacobson_radical(R)
+    with pytest.raises(ValueError):
+        J.mask[R.zero] = False
+    # the memo hands out the stored mask, not a copy, and it is unchanged
+    assert jacobson_radical(R).mask is J.mask
+    assert len(jacobson_radical(R)) == 2
+
+
+def test_element_set_refuses_a_mask_of_the_wrong_shape_or_type():
+    R = cyclic(5)
+    for bad in (np.zeros(4, dtype=bool), np.zeros((1, 5), dtype=bool), np.zeros(5, dtype=int)):
+        with pytest.raises(ValueError, match=r"shape \(5,\)"):
+            ElementSet(R, bad)
+    # a writable mask is copied, so the caller's array cannot change the set
+    mask = np.zeros(5, dtype=bool)
+    S = ElementSet(R, mask)
+    mask[1] = True
+    assert list(S) == [] and not S.mask.flags.writeable
 
 
 def test_first_is_the_row_major_first_true_entry():
