@@ -25,7 +25,7 @@ from .errors import InternalCheckError, PresentationError
 from .abelian import CoordGroup, product_tables
 from .howell import howell, prime_power, reduce_vectors, span_size
 from .lexer import Tokens
-from .table import MAX_ORDER, RingTable, verify_axioms
+from .table import MAX_ORDER, RingTable, _passes, verify_axioms
 
 BASES = {"F2": 2, "F3": 3, "Z4": 4, "Z8": 8, "Z9": 9}
 D_MAX = 10
@@ -366,7 +366,12 @@ def build_ring(P: Presentation, min_degree: Optional[int] = None) -> RingTable:
     relation evaluates to zero through the table's own arithmetic; that pair
     of facts forces the table to be the universal quotient (it is a quotient
     of the presented algebra and vice versa), so acceptance is sound no
-    matter which candidate fired first."""
+    matter which candidate fired first.
+
+    A rejected candidate costs only its verdict.  The last two rejections
+    are kept, and a table among them that failed its axioms is scanned for
+    witnesses by verify_axioms only when the PresentationError that prints
+    them is raised."""
     bound = degree_bound(len(P.gens))
     reldeg = max(1, P.max_degree())
     dfloor = 1 if min_degree is None else max(1, min_degree)
@@ -385,11 +390,18 @@ def build_ring(P: Presentation, min_degree: Optional[int] = None) -> RingTable:
             R, why = _emit(P, D, B)
             if R is not None:
                 return R
-            rejects.append(f"candidate D={D} E={E}: {why}")
-    detail = ("; " + "; ".join(rejects[-2:])) if rejects else ""
+            rejects = [*rejects[-1:], (D, E, why)]
+    detail = "".join(f"; candidate D={D} E={E}: {_reason(why)}" for D, E, why in rejects)
     raise PresentationError(
         f"possibly infinite ring: quotient size not stabilized by degree {bound}{detail}"
     )
+
+
+def _reason(why) -> str:
+    """Why _emit rejected a candidate; a table that failed its axioms is scanned here."""
+    if isinstance(why, RingTable):
+        return f"table fails axioms: {verify_axioms(why).violations[:2]}"
+    return why
 
 
 @dataclass
@@ -476,8 +488,10 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
     per basis word in coordinates, then one O(n^2) gather per basis word and
     table, with no (n, n, s) array.  The labels follow the same recurrence.
 
-    Returns (ring, None) on success, (None, reason) when the candidate is
-    rejected by the verification suite and the search should continue."""
+    Returns (ring, None) on success and (None, reason) when the candidate is
+    rejected and the search should continue.  A table that fails its axioms
+    is decided by its verdict alone and is itself the reason, so its
+    witnesses are computed only if _reason prints them."""
     n = B.quotient_size()
     if n > MAX_ORDER:
         return None, f"order {n} exceeds limit {MAX_ORDER}"
@@ -506,9 +520,8 @@ def _emit(P: Presentation, D: int, B: ModuleMatrix):
         int(grp.encode(cb.one)),
         provenance=P.text or repr(P.relations),
     )
-    report = verify_axioms(R)
-    if not report.passed:
-        return None, f"table fails axioms: {report.violations[:2]}"
+    if not _passes(R):
+        return None, R
 
     gen_elts = [int(x) for x in grp.encode(cb.gens)]
     for rel in P.relations:

@@ -24,11 +24,11 @@ from .table import (
     _closure,
     _first,
     _first_triple,
+    _ideal_mask,
     _ideal_witness,
     _memoised,
     _row_blocks,
     additive_type,
-    ideal_generated,
     idempotents,
     units,
 )
@@ -82,7 +82,7 @@ def upper_nilradical(R: RingTable) -> ElementSet:
     for x in np.flatnonzero(nil):
         if acc[x]:
             continue
-        I = ideal_generated(R, [int(x)]).mask
+        I = _ideal_mask(R, np.arange(R.order) == x)
         if (I & ~nil).any():
             continue
         acc = _closure(acc | I, R.add)
@@ -102,7 +102,7 @@ def lower_nilradical(R: RingTable) -> ElementSet:
     mask[R.zero] = True
     while True:
         cand = mask[sandwich].all(axis=1)
-        new = ideal_generated(R, np.flatnonzero(cand)).mask
+        new = _ideal_mask(R, cand)
         if (new == mask).all():
             return ElementSet(R, mask)
         mask = new

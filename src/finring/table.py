@@ -393,7 +393,10 @@ def _laws_hold_on_generators(R: RingTable) -> bool:
     With G from _additive_generators:
     - addition is associative iff (x+g)+y = x+(g+y) for every g in G (Light's
       test: the middle elements that associate are closed under +, and G
-      together with 0 generates every element);
+      together with 0 generates every element).  Addition is already known
+      to be commutative, so x+g is row g of the table, and both sides are
+      gathers of contiguous rows: add[xg] and add.take(xg, axis=1) for
+      xg = add[g];
     - in the resulting abelian group, a map f with f(0) = 0 is additive iff
       f(x+g) = f(x)+f(g) for every g in G.  For the column maps x -> xc this
       is right distributivity, checked as (x+g)c = xc+gc per g, next to
@@ -409,15 +412,22 @@ def _laws_hold_on_generators(R: RingTable) -> bool:
         return False
     add, mul = R.add, R.mul
     for g in G:
+        xg = add[g]
         if not (
-            np.array_equal(add[add[:, g]], add[:, add[g]])
-            and np.array_equal(mul[add[:, g]], add[mul, mul[g]])
+            np.array_equal(add[xg], add.take(xg, axis=1))
+            and np.array_equal(mul[xg], add[mul, mul[g]])
         ):
             return False
     mG = mul[G]
     return np.array_equal(
         mG[:, add[:, G]], add[mG[:, :, None], mG[:, G][:, None, :]]
     ) and np.array_equal(mul[mul[:, G][:, :, None], G], mul[:, mul[np.ix_(G, G)]])
+
+
+@_memoised
+def _passes(R: RingTable) -> bool:
+    """Whether every ring law holds on R: the verdict of verify_axioms, once per ring."""
+    return not _two_variable_violations(R) and _laws_hold_on_generators(R)
 
 
 def verify_axioms(R: RingTable) -> AxiomReport:
@@ -428,13 +438,14 @@ def verify_axioms(R: RingTable) -> AxiomReport:
     three-variable laws are checked on an additive generating set G
     (|G| <= log2 n): additive associativity and right distributivity as
     2|G| (n, n) comparisons, left distributivity on G x n x G and
-    multiplicative associativity on n x G x G, O(n^2 log n) in all.  When
-    any law fails, the exhaustive O(n^3) scan runs instead, so the report
-    names every failing law with the same witness whichever path found it.
+    multiplicative associativity on n x G x G, O(n^2 log n) in all.  The
+    verdict is kept on R (_passes), so a ring is checked once however often
+    it is verified.  When any law fails, the exhaustive O(n^3) scan runs
+    instead, so the report names every failing law with the same witness
+    whichever path found it; a caller that needs only the verdict reads
+    _passes and pays for no witness.
     """
-    if not _two_variable_violations(R) and _laws_hold_on_generators(R):
-        return AxiomReport(passed=True)
-    return _scan_axioms(R)
+    return AxiomReport(passed=True) if _passes(R) else _scan_axioms(R)
 
 
 def checked(R: RingTable) -> RingTable:
@@ -538,18 +549,24 @@ def _closure(mask: np.ndarray, *tables) -> np.ndarray:
         mask = new
 
 
-def ideal_generated(R: RingTable, seeds: Iterable[int]) -> ElementSet:
-    """Smallest two-sided ideal of R containing the seed elements.
+def _ideal_mask(R: RingTable, seeds: np.ndarray) -> np.ndarray:
+    """Mask of the smallest two-sided ideal of R holding the elements in the seeds mask.
 
     R is unital, so that ideal is the additive span of R*S*R: the span is
     absorbing, and R*S*R holds S = 1*S*1.
     """
-    mask = np.zeros(R.order, dtype=bool)
+    mask = seeds.copy()
     mask[R.zero] = True
-    mask[[_element(R, s) for s in seeds]] = True
     mask[R.mul[:, mask]] = True
     mask[R.mul[mask, :]] = True
-    return ElementSet(R, _closure(mask, R.add))
+    return _closure(mask, R.add)
+
+
+def ideal_generated(R: RingTable, seeds: Iterable[int]) -> ElementSet:
+    """Smallest two-sided ideal of R containing the seed elements."""
+    mask = np.zeros(R.order, dtype=bool)
+    mask[[_element(R, s) for s in seeds]] = True
+    return ElementSet(R, _ideal_mask(R, mask))
 
 
 def right_annihilator(R: RingTable, a: int) -> ElementSet:
@@ -576,7 +593,15 @@ def _induced(R: RingTable, reps, index: np.ndarray, unit: int, provenance: str) 
     index maps each element of R to its position in reps: -1 off a subring,
     or the coset of each element in a quotient.  A subset whose sums or
     products leave it is refused, and the table must pass verify_axioms.
+    All of R read through the identity with R's own unity (a corner eRe with
+    e = 1, or R/{0}) is R itself, provenance and memo included, once R's
+    verdict holds; the law a failing R breaks is named as for a copy.
     """
+    ids = np.arange(R.order)
+    if unit == R.one and np.array_equal(reps, ids) and np.array_equal(index, ids):
+        if not _passes(R):
+            raise InternalCheckError(f"{provenance} fails {_scan_axioms(R).violations[0][0]}")
+        return R
     add = index[R.add[np.ix_(reps, reps)]]
     mul = index[R.mul[np.ix_(reps, reps)]]
     if (add < 0).any() or (mul < 0).any():

@@ -1,6 +1,7 @@
 """Block decomposition: corner rings, glue modules, structural law checks."""
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -17,7 +18,7 @@ from finring.enumeration import enumerate_unital
 from finring.errors import InternalCheckError
 from finring.peirce import _verify_split_model, decomposition_report, peirce
 from finring.properties import jacobson_radical
-from finring.table import ElementSet, direct_sum, idempotents, projection_map
+from finring.table import ElementSet, _scan_axioms, direct_sum, idempotents, projection_map
 
 
 def check_internal_sum(R, D):
@@ -168,3 +169,26 @@ def test_split_model_refuses_a_glue_set_that_no_longer_splits_the_ring(make):
         broken = dataclasses.replace(D, m_elements=ElementSet.from_iterable(R, members))
         with pytest.raises(InternalCheckError, match="S\\+M splitting"):
             _verify_split_model(broken)
+
+
+def test_a_one_block_ring_is_its_own_corner_and_every_other_ring_passes_the_scan(monkeypatch):
+    # the scan is the oracle for each corner and quotient peirce builds
+    peirce_module = importlib.import_module("finring.peirce")
+    quotient, built = peirce_module.quotient, []
+
+    def recorded(R, ideal):
+        built.append(quotient(R, ideal))
+        return built[-1]
+
+    monkeypatch.setattr(peirce_module, "quotient", recorded)
+    one_block = 0
+    for e in corpus():
+        R = e.build()
+        built.clear()
+        D = peirce(R)
+        if len(D.idems) == 1:
+            assert D.components[0] is R, e.name
+            one_block += 1
+        for T in (*D.components, *built):
+            assert T is R or _scan_axioms(T).passed, (e.name, T.provenance)
+    assert one_block == 22

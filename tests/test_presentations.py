@@ -266,6 +266,21 @@ def test_free_algebra_is_reported_as_possibly_infinite():
         build_from_text("F2<u>/()")
 
 
+def test_rejected_candidates_are_reported_with_their_first_two_witnesses(monkeypatch):
+    # the two candidates the message names fail their axioms; witnesses are
+    # computed for them alone, after the search has given up
+    import finring.presentation as presentation
+
+    monkeypatch.setattr(presentation, "degree_bound", lambda gens: 4)
+    with pytest.raises(PresentationError) as err:
+        build_from_text("Z4<u,v>/(u^4,uv,vu-u^3,v^2,u^3-2)")
+    fails = "table fails axioms: [('mul_associative', (2, 4, 4)), ('left_distributive', (4, 4, 4))]"
+    assert str(err.value) == (
+        "possibly infinite ring: quotient size not stabilized by degree 4; "
+        f"candidate D=2 E=4: {fails}; candidate D=3 E=4: {fails}"
+    )
+
+
 def test_relation_degree_beyond_engine_bound():
     with pytest.raises(PresentationError, match="beyond engine bound"):
         build_from_text("F2<u>/(u^11)")

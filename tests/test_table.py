@@ -33,7 +33,9 @@ from finring.corpus import corpus
 from finring.enumeration import enumerate_unital
 from finring.errors import InternalCheckError
 from finring.presentation import build_from_text
-from finring.table import _first, _induced
+from finring.properties import profile
+from finring.peirce import decomposition_report
+from finring.table import _first, _induced, _scan_axioms
 
 
 def test_cyclic_passes_axioms():
@@ -170,6 +172,56 @@ def test_induced_names_the_first_failing_law():
     pos = np.array([0, -1, 1, -1])
     with pytest.raises(InternalCheckError, match="^sub fails unity$"):
         _induced(R, [0, 2], pos, 2, "sub")
+
+
+def test_the_quotient_by_zero_is_the_ring_itself():
+    for e in corpus():
+        R = e.build()
+        assert quotient(R, ElementSet.from_iterable(R, [R.zero])) is R, e.name
+
+
+def test_a_perturbed_ring_read_as_itself_names_its_first_failing_law():
+    # one entry off the row and column of zero changed: {0} stays an ideal
+    # and R/{0} reads R through the identity, so the law is R's own
+    rng = np.random.default_rng(29)
+    tried = 0
+    for e in corpus():
+        R = e.build()
+        if not 3 <= R.order <= 64:
+            continue
+        nonzero = np.flatnonzero(np.arange(R.order) != R.zero)
+        for which in ("add", "mul"):
+            add, mul = R.add.copy(), R.mul.copy()
+            table = add if which == "add" else mul
+            a, b = rng.choice(nonzero, size=2)
+            table[a, b] = (table[a, b] + rng.integers(1, R.order)) % R.order
+            bad = RingTable(R.order, R.labels, add, mul, R.zero, R.one, R.provenance)
+            scan = _scan_axioms(bad)
+            assert not scan.passed, (e.name, which, a, b)
+            with pytest.raises(InternalCheckError) as err:
+                quotient(bad, ElementSet.from_iterable(bad, [bad.zero]))
+            assert str(err.value).endswith(f" fails {scan.violations[0][0]}"), (e.name, which)
+            tried += 1
+    assert tried == 2 * 26  # the catalog rings of order 3 to 64
+
+
+def test_a_presentation_ring_checks_its_laws_once(monkeypatch):
+    import finring.table as table
+
+    seen = []
+
+    def counted(R):
+        seen.append(R)
+        return laws(R)
+
+    laws = table._laws_hold_on_generators
+    monkeypatch.setattr(table, "_laws_hold_on_generators", counted)
+    R = build_from_text("F2<u,v>/(u^3,v^2,u^2+uv+vu,uvu)")
+    checked(R)
+    assert verify_axioms(R).passed
+    profile(R)
+    assert decomposition_report(R).decomposition.components[0] is R
+    assert sum(S is R for S in seen) == 1
 
 
 def test_right_annihilator():
