@@ -143,11 +143,20 @@ def digit_tables(factors: Sequence[int], zero: int, add_rows, mul_rows):
         lo, top = zero - zero % stride, zero - zero % (stride * d)
         blocks.append((slice(lo, lo + stride), slice(top, top + stride * d)))
         stride *= d
-    # mul needs the whole add table, so add is filled first
+    from .table import _pair_take  # table imports this module, so not at the top
+
+    # mul needs the whole add table, so add is filled first.  Each gather is
+    # laid out [x, c, y], so that _pair_take's blocks run over the x of
+    # block_a, and written to the rows x + (a, c) of block_{a+1} as [c, x, y]
     for (src, dst), pure in zip(blocks, add_rows):
-        add[dst] = pure[np.arange(len(pure))[:, None, None], add[src]].reshape(-1, n)
+        c = np.arange(len(pure))[:, None]
+        add[dst].reshape(len(pure), -1, n)[...] = _pair_take(
+            pure, c, add[src][:, None, :]
+        ).transpose(1, 0, 2)
     for (src, dst), pure in zip(blocks, mul_rows):
-        mul[dst] = add[mul[src][None], pure[:, None, :]].reshape(-1, n)
+        mul[dst].reshape(len(pure), -1, n)[...] = _pair_take(
+            add, mul[src][:, None, :], pure[None]
+        ).transpose(1, 0, 2)
     return add, mul
 
 

@@ -197,8 +197,10 @@ def is_isomorphic(R: RingTable, S: RingTable, node_budget: int = DEFAULT_NODE_BU
             mapping[trace] = phi
             if (
                 len(np.unique(mapping)) == n
-                and np.array_equal(S.add[np.ix_(mapping, mapping)], mapping[R.add])
-                and np.array_equal(S.mul[np.ix_(mapping, mapping)], mapping[R.mul])
+                and all(
+                    np.array_equal(St.take(mapping, axis=0).take(mapping, axis=1), mapping[Rt])
+                    for St, Rt in ((S.add, R.add), (S.mul, R.mul))
+                )
             ):
                 return IsoResult(True, mapping.tolist(), "search")
         if not stack or budget < 0:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .properties import (
+    _radical_cosets,
     is_abelian,
     is_local,
     is_ni,
@@ -29,9 +30,9 @@ from .table import (
     _closure,
     _first,
     _induced,
+    _pair_take,
     central_idempotents,
     idempotents,
-    projection_map,
     quotient,
 )
 
@@ -86,7 +87,7 @@ def peirce(R: RingTable) -> Decomposition:
     """Decompose R along lifted primitive central idempotents of R/J."""
     J = jacobson_radical(R)
     Q = quotient(R, J)
-    proj = projection_map(R, J)
+    proj = _radical_cosets(R)
 
     cents = [e for e in central_idempotents(Q) if e != Q.zero]
     prim = [e for e in cents if not any(f != e and Q.mul[f, e] == f for f in cents)]
@@ -127,13 +128,15 @@ def peirce(R: RingTable) -> Decomposition:
     if (m_set.mask & ~J.mask).any():
         raise InternalCheckError("glue module is not inside the radical")
 
-    # each corner must be primary: corner/J(corner) has only trivial central idempotents
+    # each corner must be primary: corner/J(corner) has only trivial central
+    # idempotents.  A one-block ring is its own corner, and Q is already R/J
     for i, C in enumerate(components):
-        CQ = quotient(C, jacobson_radical(C))
+        CQ = Q if C is R else quotient(C, jacobson_radical(C))
         if len(central_idempotents(CQ)) != (2 if CQ.order > 1 else 1):
             raise InternalCheckError(f"corner {i+1} is not primary")
 
-    msq = bool((R.mul[m_set.mask][:, m_set.mask] == R.zero).all())
+    glue = m_set.indices()
+    msq = bool((R.mul.take(glue, axis=0).take(glue, axis=1) == R.zero).all())
 
     dec = Decomposition(
         ring=R,
@@ -159,17 +162,14 @@ def _verify_split_model(D: Decomposition) -> None:
     """
     R = D.ring
     S, M = D.s_elements.indices(), D.m_elements.indices()
-    sums = R.add[np.ix_(S, M)].ravel()
+    sums = R.add.take(S, axis=0).take(M, axis=1).ravel()
     if len(sums) != R.order or len(np.unique(sums)) != R.order:
         raise InternalCheckError("S+M splitting is not a bijection onto the ring")
     sa, ua = np.empty((2, R.order), dtype=np.int64)
     sa[sums], ua[sums] = np.repeat(S, len(M)), np.tile(M, len(S))
-    lhs = R.mul
-    rhs = R.add[
-        R.mul[sa[:, None], sa[None, :]],
-        R.add[R.mul[sa[:, None], ua[None, :]], R.mul[ua[:, None], sa[None, :]]],
-    ]
-    bad = _first(lhs != rhs)
+    ss, su, us = (_pair_take(R.mul, x[:, None], y) for x, y in ((sa, sa), (sa, ua), (ua, sa)))
+    rhs = _pair_take(R.add, ss, _pair_take(R.add, su, us))
+    bad = _first(R.mul != rhs)
     if bad is not None:
         raise InternalCheckError(f"split multiplication model fails at pair {bad}")
 

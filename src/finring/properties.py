@@ -27,9 +27,12 @@ from .table import (
     _ideal_mask,
     _ideal_witness,
     _memoised,
+    _pair_index,
+    _pair_take,
     _row_blocks,
     additive_type,
     idempotents,
+    projection_map,
     units,
 )
 
@@ -64,8 +67,9 @@ def nilpotent_set(R: RingTable) -> ElementSet:
 @_memoised
 def jacobson_radical(R: RingTable) -> ElementSet:
     """{x : 1 - r*x is a unit for every r}; checked to be a nil two-sided ideal."""
-    vals = R.add[R.one, R.neg[R.mul]]  # vals[r, x] = 1 - r*x
-    out = ElementSet(R, R.unit_mask[vals].all(axis=0))
+    # one_minus_unit[y]: is 1 - y a unit; column x of its gather at mul holds 1 - r*x for every r
+    one_minus_unit = R.unit_mask[R.add[R.one][R.neg]]
+    out = ElementSet(R, one_minus_unit[R.mul].all(axis=0))
     if (out.mask & ~nilpotent_set(R).mask).any():
         raise InternalCheckError("jacobson radical contains a non-nilpotent element")
     if not out.is_ideal():
@@ -97,7 +101,7 @@ def lower_nilradical(R: RingTable) -> ElementSet:
     """Prime radical via the ascending chain I' = ideal({x : xRx inside I})."""
     n = R.order
     # sandwich[x, r] = (x*r)*x, fixed across iterations
-    sandwich = R.mul[R.mul, np.arange(n, dtype=np.int16)[:, None]]
+    sandwich = _pair_take(R.mul, R.mul, np.arange(n)[:, None])
     mask = np.zeros(n, dtype=bool)
     mask[R.zero] = True
     while True:
@@ -204,9 +208,10 @@ def _duo_witness(mul: np.ndarray):
     """(a, b) with mul[b, a] outside {mul[a, s]}: right duo of the table mul."""
     n = len(mul)
     rows = np.arange(n)[:, None]
-    in_aR = np.zeros((n, n), dtype=bool)
-    in_aR[rows, mul] = True
-    return _first(~in_aR[rows, mul.T])  # [a, b]: is b*a outside aR
+    outside = np.ones(n * n, dtype=bool)  # [a, y]: is y outside aR, raveled
+    for _, _, idx in _pair_index(n, rows, mul):
+        outside[idx] = False
+    return _first(_pair_take(outside.reshape(n, n), rows, mul.T))  # [a, b]: is b*a outside aR
 
 
 def right_duo_witness(R: RingTable):
@@ -237,7 +242,7 @@ def two_primal_witness(R: RingTable):
 def local_witness(R: RingTable):
     """(x, y) nonunits with x + y a unit; None when nonunits form an ideal."""
     idx = np.flatnonzero(~R.unit_mask)
-    w = _first(R.unit_mask[R.add[np.ix_(idx, idx)]])
+    w = _first(R.unit_mask[R.add.take(idx, axis=0).take(idx, axis=1)])
     return None if w is None else (int(idx[w[0]]), int(idx[w[1]]))
 
 
@@ -302,11 +307,23 @@ def _high_powers(R: RingTable) -> np.ndarray:
     return p
 
 
+@_memoised
+def _radical_cosets(R: RingTable) -> np.ndarray:
+    """Element -> index of its coset of J(R), as projection_map numbers them."""
+    return projection_map(R, jacobson_radical(R))
+
+
 def _radical_plus(R: RingTable, ideal: np.ndarray) -> np.ndarray:
-    """Mask of J(R) + I for the ideal with the given mask: the preimage of J(R/I)."""
-    out = np.zeros(R.order, dtype=bool)
-    out[R.add[np.ix_(jacobson_radical(R).indices(), np.flatnonzero(ideal))]] = True
-    return out
+    """Mask of J(R) + I for the ideal with the given mask: the preimage of J(R/I).
+
+    x lies in J + I iff x - i lies in J for some i in I, that is iff the
+    coset x + J meets I.  So each ideal costs O(n) on the memoised cosets,
+    and no |J| x |I| table of sums is read.
+    """
+    cosets = _radical_cosets(R)
+    meets = np.zeros(R.order, dtype=bool)
+    meets[cosets[ideal]] = True
+    return meets.take(cosets)
 
 
 def _distinct_zero_rows(R: RingTable) -> np.ndarray:
@@ -325,7 +342,8 @@ def is_ps_i(R: RingTable) -> bool:
     rows on the packed bitsets, 8 bytes per 64 elements.  Two facts about
     finite rings decide it on R: the prime radical equals the Jacobson
     radical, and J(R/I) = (J(R) + I)/I, as finite rings are semilocal.  So
-    R/I is 2-primal iff every x with x^N in I lies in J(R) + I.
+    R/I is 2-primal iff every x with x^N in I lies in J(R) + I, which
+    _radical_plus reads off the memoised cosets of J(R) in O(n) per row.
     """
     powers = _high_powers(R)
     for row in _zero_row_products(R)[_distinct_zero_rows(R)]:

@@ -2,6 +2,8 @@
 
 import itertools
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,14 @@ from finring.table import (
     RingTable,
     _additive_generators,
     _laws_hold_on_generators,
+    _row_blocks,
     _scan_axioms,
     _two_variable_violations,
     opposite,
     verify_axioms,
 )
 
+table = importlib.import_module("finring.table")
 SMALL_CATALOG = [e for e in corpus() if e.order <= 128]
 THREE_VARIABLE_LAWS = ("add_associative", "mul_associative", "left_distributive",
                        "right_distributive")
@@ -84,8 +88,7 @@ def reference_witnesses(R):
     return out
 
 
-@pytest.mark.parametrize("entry", SMALL_CATALOG, ids=lambda e: e.name)
-def test_fast_check_agrees_with_scan_on_perturbed_catalog_rings(entry):
+def check_perturbed_catalog_ring(entry):
     R = entry.build()
     assert verify_axioms(R) == _scan_axioms(R)
     rng = np.random.default_rng(R.order)
@@ -96,8 +99,7 @@ def test_fast_check_agrees_with_scan_on_perturbed_catalog_rings(entry):
         assert_agrees(S)
 
 
-@pytest.mark.parametrize("order", [4, 8, 9])
-def test_fast_check_agrees_with_scan_on_perturbed_small_rings(order):
+def check_perturbed_small_rings(order):
     rng = np.random.default_rng(order)
     for R in enumerate_unital(order):
         assert verify_axioms(R).passed
@@ -105,6 +107,43 @@ def test_fast_check_agrees_with_scan_on_perturbed_small_rings(order):
             assert_agrees(S)
         for S in symmetric_add_perturbations(R, rng, 24):
             assert_agrees(S)
+
+
+@pytest.mark.parametrize("entry", SMALL_CATALOG, ids=lambda e: e.name)
+def test_fast_check_agrees_with_scan_on_perturbed_catalog_rings(entry):
+    check_perturbed_catalog_ring(entry)
+
+
+@pytest.mark.parametrize("order", [4, 8, 9])
+def test_fast_check_agrees_with_scan_on_perturbed_small_rings(order):
+    check_perturbed_small_rings(order)
+
+
+# With 16 entries per take block, every ring of order >= 8 (and Z2 x Z2)
+# checks its generators in more than one block, and from order 8 on each
+# paired read of a generator block spans more than one row block.
+SMALL_TAKE_ENTRIES = 16
+
+
+def test_the_small_cap_splits_generator_and_row_blocks():
+    for entry in SMALL_CATALOG:
+        R = entry.build()
+        n, k = R.order, len(_additive_generators(R))
+        if n >= 8:
+            assert len(list(_row_blocks(k, n * n, SMALL_TAKE_ENTRIES))) == k > 1, entry.name
+            assert len(list(_row_blocks(n, n, SMALL_TAKE_ENTRIES))) > 1, entry.name
+
+
+@pytest.mark.parametrize("entry", SMALL_CATALOG, ids=lambda e: e.name)
+def test_fast_check_agrees_with_scan_in_small_take_blocks(entry, monkeypatch):
+    monkeypatch.setattr(table, "_TAKE_ENTRIES", SMALL_TAKE_ENTRIES)
+    check_perturbed_catalog_ring(entry)
+
+
+@pytest.mark.parametrize("order", [4, 8, 9])
+def test_fast_check_agrees_with_scan_on_small_rings_in_small_take_blocks(order, monkeypatch):
+    monkeypatch.setattr(table, "_TAKE_ENTRIES", SMALL_TAKE_ENTRIES)
+    check_perturbed_small_rings(order)
 
 
 def test_every_single_entry_change_of_order_four_rings_gets_the_first_witnesses():

@@ -192,3 +192,19 @@ def test_a_one_block_ring_is_its_own_corner_and_every_other_ring_passes_the_scan
         for T in (*D.components, *built):
             assert T is R or _scan_axioms(T).passed, (e.name, T.provenance)
     assert one_block == 22
+
+
+def test_peirce_builds_each_quotient_once(monkeypatch):
+    # a one-block ring is its own corner, so its primary check reuses R/J
+    peirce_module = importlib.import_module("finring.peirce")
+    quotient, calls = peirce_module.quotient, []
+
+    def recorded(R, ideal):
+        calls.append((R, ideal.mask.tobytes()))  # R is kept, so its id stays unique
+        return quotient(R, ideal)
+
+    monkeypatch.setattr(peirce_module, "quotient", recorded)
+    for e in corpus():
+        peirce(e.build())
+    pairs = [(id(R), mask) for R, mask in calls]
+    assert len(pairs) == len(set(pairs)) == 55

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 only table.py handles the per-ring memo, no module calls argwhere, since
-table._first picks every witness, no module calls ElementSet.from_iterable,
-since every producer of a subset hands over its mask, and no nested function
+table._first picks every witness, no module calls ix_, since an outer
+gather is two 1-D takes, no module calls ElementSet.from_iterable, since
+every producer of a subset hands over its mask, and no nested function
 calls itself.
 
 __init__.py is skipped by the import check, since its imports are the
@@ -118,6 +119,36 @@ def test_the_check_finds_argwhere():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_calls_argwhere(path):
     assert argwhere_calls(path.read_text()) == []
+
+
+def ix_calls(source: str) -> list:
+    """Line of each call of ix_, as np.ix_(...) or a bare ix_(...)."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "ix_")
+            or (isinstance(node.func, ast.Name) and node.func.id == "ix_")
+        )
+    )
+
+
+def test_the_check_finds_ix_():
+    source = (
+        "import numpy as np\n"
+        "from numpy import ix_\n"
+        "def f(T, rows, cols):\n"
+        "    a = T[np.ix_(rows, cols)]\n"
+        "    return a, T[ix_(rows, cols)], T.take(rows, axis=0).take(cols, axis=1)\n"
+    )
+    assert ix_calls(source) == [4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_calls_ix_(path):
+    assert ix_calls(path.read_text()) == []
 
 
 def from_iterable_calls(source: str) -> list:
