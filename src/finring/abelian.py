@@ -53,20 +53,29 @@ class CoordGroup:
         s = np.arange(self.exponent)
         return self.encode(s[:, None, None] * self.dec[None, :, :])
 
+    @cached_property
+    def scaled(self) -> np.ndarray:
+        """scaled[p, x * n + y] = x_p * y, one flat row per coordinate."""
+        return self.smul[self.dec.T].reshape(self.k, -1)
+
     def linear(self, images, x) -> np.ndarray:
-        """The additive map with e_p -> images[..., p] at x, sum_p x_p images[..., p];
-        the leading axes of images broadcast against the shape of x."""
-        dx = self.dec[x]
-        out = np.zeros(np.broadcast_shapes(np.shape(images)[:-1], dx.shape[:-1]), dtype=np.int64)
-        for p in range(self.k):
-            out = self.add[out, self.smul[dx[..., p], images[..., p]]]
+        """sum_p x_p images[p], the additive map with e_p -> images[p] at x;
+        images holds one array or int per coordinate, broadcast against x.
+        Flat takes with intp indices: n * n overflows int16 from n = 182."""
+        n = self.n
+        x = np.asarray(x, dtype=np.intp) * n
+        out = np.zeros(x.shape, dtype=np.intp)
+        for p, image in enumerate(images):
+            term = self.scaled[p].take(x + image)
+            out = self.add.take(out * n + term) if p else term
         return out
 
     def bilinear(self, P, x, y) -> np.ndarray:
         """x*y by bilinearity from basis products P[..., p, q]; the leading axes
         of P broadcast against the shape of x and y.  Each e_p y is
         sum_q y_q P[..., p, q], and x*y is sum_p x_p (e_p y)."""
-        return self.linear(self.linear(np.asarray(P), np.asarray(y)[..., None]), x)
+        P = np.asarray(P)
+        return self.linear([self.linear(np.moveaxis(P[..., p, :], -1, 0), y) for p in range(self.k)], x)
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         """Index of each coordinate vector on the last axis, each coordinate

@@ -13,11 +13,10 @@ multiplication by g_a commutes with right multiplication by g_c: with L_a the
 additive map e_0 -> g_a, e_p -> slot(a, p-1) and R_c the map e_0 -> g_c,
 e_p -> slot(p-1, c), (g_a g_b) g_c = R_c(slot(a, b)) must equal
 g_a (g_b g_c) = L_a(slot(b, c)).  A triple becomes checkable as soon as row a
-and column c are fully assigned.  A table of every additive map with e_0 sent
-to a generator decides each side with one lookup, whose index is linear in
-the slots, so each new slot is checked on the whole (parent, candidate) grid
-at once and only the pairs that pass become rows.  The assignments that pass
-are the survivors.
+and column c are fully assigned.  CoordGroup.linear applies each side to the
+slots themselves, the parent's terms once per parent and the new slot's on
+the whole (parent, candidate) grid at once, so only the pairs that pass
+become rows.  The assignments that pass are the survivors.
 
 Classes: two survivors give isomorphic rings exactly when an automorphism of
 G that fixes e_0 carries one set of basis products onto the other, since a
@@ -89,6 +88,9 @@ def _checks_by_position(schedule, r: int):
                     if tr not in seen:
                         seen.add(tr)
                         fresh.append(tr)
+        # a side whose argument is the new slot is summed on the whole grid, so
+        # those triples go last, where earlier checks have shrunk the grid
+        fresh.sort(key=lambda t: ((t[0], t[1]) == slot) + ((t[1], t[2]) == slot))
         out.append(fresh)
     return out
 
@@ -110,57 +112,31 @@ class _GroupSearch:
             di = int(G.factors[i + 1])
             dj = int(G.factors[j + 1])
             g = np.gcd(di, dj)
-            self.omega.append(G.killed_by(int(g)).astype(np.int16))
-
-        # maps[a][code*n + x] is the additive map with e_0 -> g_a and e_p -> img_p
-        # at x, where code packs img_1..img_r in base n
-        n, r = G.n, self.r
-        self.refuse_oversized(G.factors)
-        images = np.zeros((n**r, G.k), dtype=np.int64)
-        images[:, 1:] = np.arange(n**r)[:, None] // n ** np.arange(r) % n
-        # only the e_0 term, x_0 g_a, differs between the rows: the sum over
-        # img_1..img_r is built once and x_0 g_a added with one gather per row
-        rest = G.linear(images[:, None, :], np.arange(n)).astype(np.int16)
-        add = G.add.astype(np.int16)
-        maps = np.empty((r, n**r, n), dtype=np.int16)
-        for a in range(r):
-            maps[a] = add[rest, G.smul[G.dec[:, 0], self.basis_elts[a + 1]]]
-        self.maps = maps.reshape(r, n ** (r + 1))
-
-        # the lookup index of each side of each triple as coefficients on the
-        # slots: R_c at slot(a, b) in maps[c], then L_a at slot(b, c) in maps[a]
-        self.forms = {}
-        for a, b, c in (t for checks in self.checks for t in checks):
-            form = np.zeros((2, len(self.schedule)), dtype=np.int64)
-            form[0, self.slot_pos[a, b]] += 1
-            form[1, self.slot_pos[b, c]] += 1
-            for q in range(r):
-                form[0, self.slot_pos[q, c]] += n ** (q + 1)
-                form[1, self.slot_pos[a, q]] += n ** (q + 1)
-            self.forms[a, b, c] = form
-
-    # map-table cap: (4,2,2,2) needs 3.1 M entries (6 MiB), Z2^5 would need 134 M
-    _MAP_ENTRIES = 1 << 22
-
-    @classmethod
-    def refuse_oversized(cls, factors) -> None:
-        """FinringError when the map table, r * n^(r+1) entries for r + 1
-        factors of product n, would pass _MAP_ENTRIES."""
-        n, r = int(np.prod(factors)), len(factors) - 1
-        if r * n ** (r + 1) > cls._MAP_ENTRIES:
-            raise FinringError(f"unsupported group {tuple(factors)}: its map table needs "
-                               f"{r * n ** (r + 1)} entries, over {cls._MAP_ENTRIES}")
+            self.omega.append(G.killed_by(int(g)))
 
     def _triple_mask(self, assign, cand, pi, ci, a, b, c):
         """Whether (g_a g_b) g_c = g_a (g_b g_c) on the assignments assign[pi]
-        followed by cand[ci]; pi and ci broadcast.  Each side's lookup index is
-        a parent's share plus the new slot's, each computed once."""
-        w = assign.shape[1]
-        form = self.forms[a, b, c]
-        head = form[:, :w] @ assign.T
-        tail = form[:, w, None] * cand
-        lhs = self.maps[c].take(head[0].take(pi) + tail[0].take(ci))
-        rhs = self.maps[a].take(head[1].take(pi) + tail[1].take(ci))
+        followed by cand[ci]; pi and ci broadcast.  The left side is R_c at
+        slot(a, b), the right side L_a at slot(b, c).  A side whose argument a
+        parent holds sums its terms once per parent, the new slot's image read
+        as 0, and adds the new slot's term on the grid; a side whose argument
+        is the new slot is summed on the grid."""
+        G, n, w = self.G, self.G.n, assign.shape[1]
+        cols, new = assign.T, cand.take(ci)
+
+        def side(e0, x, images):
+            x, images = self.slot_pos[x], [self.slot_pos[s] for s in images]
+            if x == w:
+                return G.linear([e0] + [new if s == w else cols[s].take(pi) for s in images], new)
+            head = G.linear([e0] + [0 if s == w else cols[s] for s in images], cols[x])
+            if w not in images:
+                return head.take(pi)
+            term = G.scaled[images.index(w) + 1].take(np.multiply(cols[x], n, dtype=np.intp).take(pi) + new)
+            return G.add.take((head * n).take(pi) + term)
+
+        g, r = self.basis_elts, self.r
+        lhs = side(g[c + 1], (a, b), [(q, c) for q in range(r)])
+        rhs = side(g[a + 1], (b, c), [(a, q) for q in range(r)])
         return lhs == rhs
 
     # grid cap: a batch whose (parent, candidate) grid exceeds it is split.  A
@@ -194,12 +170,19 @@ class _GroupSearch:
             pi, ci = np.arange(B)[:, None], np.arange(len(cand))
             for a, b, c in self.checks[pos]:
                 ok = self._triple_mask(assign, cand, pi, ci, a, b, c)
-                pi, ci = (np.broadcast_to(v, ok.shape)[ok] for v in (pi, ci))
+                # with r = 1 the only slot is the new one, and ok lacks pi's axis
+                ok, pi, ci = np.broadcast_arrays(ok, pi, ci)
+                pi, ci = pi[ok], ci[ok]
                 if not len(pi):
                     break
             pi, ci = (v.ravel() for v in np.broadcast_arrays(pi, ci))
             if len(pi):
-                stack.append((pos + 1, np.concatenate([assign[pi], cand[ci, None]], axis=1)))
+                # column-major, so that the checks read each slot contiguously
+                grown = np.empty((len(pi), pos + 1), dtype=np.int16, order="F")
+                for s in range(pos):
+                    grown[:, s] = assign[:, s].take(pi)
+                grown[:, pos] = cand.take(ci)
+                stack.append((pos + 1, grown))
         if not done:
             return np.zeros((0, nslots), dtype=np.int16)
         return np.vstack(done)
@@ -237,20 +220,20 @@ class _GroupSearch:
         Elements with coordinates in the first i factors only are the indices
         below d_0...d_{i-1}, so each partial map is defined on a prefix of the
         indices.  Each step sends e_i to an element killed by d_i and keeps the
-        maps that stay injective on the grown subgroup.
+        partial maps that stay injective on the grown subgroup.
         """
         G = self.G
-        maps = np.arange(G.factors[0])[None, :]
+        partial = np.arange(G.factors[0])[None, :]
         for d in G.factors[1:]:
-            size = maps.shape[1]
+            size = partial.shape[1]
             cand = G.killed_by(d)
             steps = G.smul[np.arange(d)[:, None], cand[None, :]]  # steps[c, y] = c*y
             # the image of x + c*e_i, at index x + c*size, is h(x) + c*y
-            grown = G.add[maps[:, None, None, :], steps.T[None, :, :, None]]
-            grown = grown.reshape(len(maps) * len(cand), d * size)
+            grown = G.add[partial[:, None, None, :], steps.T[None, :, :, None]]
+            grown = grown.reshape(len(partial) * len(cand), d * size)
             ordered = np.sort(grown, axis=1)
-            maps = grown[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
-        return maps
+            partial = grown[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+        return partial
 
     def generators(self, H) -> np.ndarray:
         """Rows of H that generate it: each next one is the first element
@@ -401,23 +384,27 @@ def _least(perms, m) -> np.ndarray:
 def enumerate_unital(order: int, deep: bool = False, seed=None):
     """All isomorphism classes of unital rings of the given order.
 
-    The order must be a prime power n with 1 < n <= MAX_ORDER whose abelian
-    groups all fit _GroupSearch's map table; up to 128 these are the primes
-    and 4, 8, 9, 16, 25, 27, 49, 121 and 125.  Each class is represented by
-    the least survivor of its orbit.  deep and seed are accepted and
-    ignored: the search has no random choice.  They stay only because the
-    benchmark's enum16 workload passes them.
+    The order must be p or p^2 for a prime p, at most MAX_ORDER, or one of
+    8, 16, 27 and 125; up to 128 these are the primes and 4, 8, 9, 16, 25,
+    27, 49, 121 and 125.  Each class is represented by the least survivor
+    of its orbit.  deep and seed are accepted and ignored: the search has no
+    random choice.  They stay only because the benchmark's enum16 workload
+    passes them.
     """
     # the bound first: _factorize's trial division of a large prime would not return
-    if not 1 < order <= MAX_ORDER or len(_factorize(order)) != 1:
+    powers = _factorize(order) if 1 < order <= MAX_ORDER else {}
+    # a measured policy, applied before any group is built: the cost lives in
+    # the survivor sets and their orbits, not in the search's tables.  Every
+    # admitted group has at most 16,225 survivors, at (5,5,5).  (3,3,3,3) has
+    # 734,319 (21 s, 784 MiB), (7,7,7) has 120,001 but a stabiliser of 98,784
+    # automorphisms (2.8 s, 893 MiB), and Z2^5 ~4e10 search nodes at slot 10
+    if len(powers) != 1 or (max(powers.values()) > 2 and order not in (8, 16, 27, 125)):
         raise FinringError(
-            f"unsupported enumeration order {order}: not a prime power up to {MAX_ORDER}"
+            f"unsupported enumeration order {order}: "
+            f"only p and p^2 up to {MAX_ORDER} for a prime p, 8, 16, 27 and 125"
         )
-    groups = abelian_groups_of_order(order)
-    for factors in groups:
-        _GroupSearch.refuse_oversized(factors)
     reps = []
-    for factors in groups:
+    for factors in abelian_groups_of_order(order):
         search = _GroupSearch(factors)
         rows, least = search.classes()
         for row in rows[least == np.arange(len(rows))]:

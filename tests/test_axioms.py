@@ -278,3 +278,89 @@ def test_near_rings_fail_exactly_one_distributive_law(add):
         rep = verify_axioms(S)
         assert rep == _scan_axioms(S)
         assert [name for name in rep.law_names() if name in THREE_VARIABLE_LAWS] == [law]
+
+
+# -- one-generator violations ---------------------------------------------------
+#
+# The perturbation oracles change random entries, which break a law at many
+# generators at once.  Here one factor of a direct product breaks one law and
+# the F2 factors break none, so only the generators of G inside that factor
+# see the violation: a generator check that skips one passes some of these.
+
+F2 = (np.bitwise_xor.outer(np.arange(2), np.arange(2)), np.multiply.outer(np.arange(2), np.arange(2)))
+
+
+def _with_products(add, products):
+    """add, and the product with zero 0, unity 1 and the given other products."""
+    n = len(add)
+    mul = np.zeros((n, n), dtype=np.int64)
+    mul[1, :] = mul[:, 1] = np.arange(n)
+    for (a, b), v in products.items():
+        mul[a, b] = v
+    return add, mul
+
+
+# Z3 with 2*2 = 2: unital and zero-annihilating, neither distributive law
+B3 = _with_products(cyclic(3).add, {(2, 2): 2})
+# Z2 x Z2 = {0, 1, u, 1+u} with u*u = u*(1+u) = 0, (1+u)*u = u, (1+u)^2 = 1+u:
+# x -> xc is additive for each c, c -> xc is not
+LEFT_ONLY = _with_products(np.bitwise_xor.outer(np.arange(4), np.arange(4)),
+                           {(2, 2): 0, (2, 3): 0, (3, 2): 2, (3, 3): 3})
+
+
+def _bilinear_on_f2_cubed(xx, xy, yx, yy):
+    # the product of test_fast_check_agrees_with_scan_on_every_unital_bilinear_product_on_f2_cubed
+    add = np.bitwise_xor.outer(np.arange(8), np.arange(8))
+    bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    basis = np.array([[1, 2, 4], [2, xx, xy], [4, yx, yy]])
+    mul = np.zeros((8, 8), dtype=np.int64)
+    for i, j in itertools.product(range(3), repeat=2):
+        mul ^= np.outer(bits[:, i], bits[:, j]) * basis[i, j]
+    return add, mul
+
+
+# y*y = 1 and every other product of x, y zero: (yy)x = x but y(yx) = 0
+NON_ASSOCIATIVE = _bilinear_on_f2_cubed(0, 0, 0, 1)
+
+
+def direct_product(factors):
+    """The RingTable of the product of (add, mul) tables with zero 0 and
+    unity 1 each, built by hand: direct_sum would check it.  Element x has
+    digit x // stride_i % d_i in factor i, the first factor lowest."""
+    sizes = [len(add) for add, _ in factors]
+    strides = np.cumprod([1] + sizes[:-1])
+    x = np.arange(int(np.prod(sizes)))
+    digits = [x // s % d for s, d in zip(strides, sizes)]
+    add, mul = (
+        sum(s * np.asarray(f[t])[d[:, None], d[None, :]] for s, d, f in zip(strides, digits, factors))
+        for t in (0, 1)
+    )
+    return RingTable(len(x), [str(v) for v in x], add, mul, 0, int(strides.sum()))
+
+
+def one_factor_products(factor):
+    """F2^a x factor x F2^b for a + b + 1 = k = 1..4, the factor at each of k places."""
+    for k in range(1, 5):
+        for place in range(k):
+            yield direct_product([F2] * place + [factor] + [F2] * (k - 1 - place))
+
+
+@pytest.mark.parametrize(
+    "factor, laws",
+    [
+        (B3, ["left_distributive", "right_distributive"]),
+        (LEFT_ONLY, ["left_distributive"]),
+        (NON_ASSOCIATIVE, ["mul_associative"]),
+    ],
+    ids=["B3", "left_distributivity", "mul_associativity"],
+)
+def test_fast_check_agrees_with_scan_when_one_factor_breaks_a_law(factor, laws):
+    orders = []
+    for T in one_factor_products(factor):
+        rep = verify_axioms(T)
+        assert rep == _scan_axioms(T)
+        assert [law for law in rep.law_names() if law in THREE_VARIABLE_LAWS] == laws
+        assert not _two_variable_violations(T) and not _laws_hold_on_generators(T)
+        orders.append(T.order)
+    n = len(factor[0])
+    assert orders == [n * 2 ** (k - 1) for k in range(1, 5) for _ in range(k)]

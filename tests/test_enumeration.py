@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finring.abelian import CoordGroup, abelian_groups_of_order, product_tables
+from finring import enumeration
+from finring.abelian import CoordGroup, _factorize, abelian_groups_of_order, product_tables
 from finring.construct import cyclic, galois, upper_triangular
 from finring.enumeration import (
     _GroupSearch,
@@ -44,10 +45,41 @@ def _accepted(order):
     return True
 
 
-def test_accepted_orders_are_the_prime_powers_whose_map_tables_fit():
+def test_accepted_orders_up_to_128_follow_the_order_policy():
     primes = [p for p in range(2, 129) if all(p % d for d in range(2, p))]
     want = set(primes) | {4, 8, 9, 16, 25, 27, 49, 121, 125}
     assert {n for n in range(1, 129) if _accepted(n)} == want
+
+
+class _Admitted(Exception):
+    pass
+
+
+def table_rule(order):
+    """The earlier gate: every group of the prime-power order fits a table of
+    r * n^(r+1) additive maps, r + 1 factors, at most 2^22 entries."""
+    return len(_factorize(order)) == 1 and all(
+        (len(f) - 1) * order ** len(f) <= 1 << 22 for f in abelian_groups_of_order(order)
+    )
+
+
+def test_the_gate_above_128_is_the_earlier_table_rule(monkeypatch):
+    # an admitted order reaches the group list, which raises here instead of
+    # enumerating; a refused one raises before it
+    def admitted(order):
+        raise _Admitted
+
+    monkeypatch.setattr(enumeration, "abelian_groups_of_order", admitted)
+    got = set()
+    for order in range(129, 1025):
+        try:
+            enumerate_unital(order)
+        except _Admitted:
+            got.add(order)
+        except FinringError as exc:
+            assert "unsupported" in str(exc)
+    assert got == {n for n in range(129, 1025) if table_rule(n)}
+    assert {361, 961, 1021} <= got and not {243, 343, 625, 1024} & got
 
 
 def match_up_to_iso(found, expected):
@@ -271,9 +303,10 @@ def test_an_image_outside_the_survivors_is_an_internal_error():
 
 
 def test_classes_equal_the_full_search_and_its_orbits(searches):
-    # every group of the orbit orders, and the order-32 groups the map table admits
+    # every group of the orbit orders, the order-32 groups but Z2^5, and two
+    # order-64 groups, which enumerate_unital does not admit
     cases = [(factors, search, rows, least) for _, factors, search, rows, least in searches]
-    for factors in ((32,), (16, 2), (8, 4), (8, 2, 2), (4, 4, 2), (4, 2, 2, 2)):
+    for factors in ((32,), (16, 2), (8, 4), (8, 2, 2), (4, 4, 2), (4, 2, 2, 2), (8, 2, 2, 2), (4, 4, 2, 2)):
         search = _GroupSearch(factors)
         rows = np.unique(search.survivors(), axis=0)
         cases.append((factors, search, rows, search.orbits(rows)))
@@ -376,34 +409,61 @@ def test_triple_mask_equals_the_three_gather_check(factors):
         assert 0 < mask.sum() < len(mask)
 
 
+def coordinate_loop(G, images, x):
+    """sum_p x_p images[p], one add and one smul gather per coordinate."""
+    want = np.zeros(np.broadcast_shapes(np.shape(x), *(np.shape(i) for i in images)), dtype=np.int64)
+    for p, image in enumerate(images):
+        want = G.add[want, G.smul[G.dec[x, p], image]]
+    return want
+
+
 @pytest.mark.parametrize("factors", [(2, 2), (2, 2, 2, 2), (4, 2, 2, 2), (3, 3, 3), (9, 3)], ids=str)
-def test_each_map_table_entry_is_its_additive_map(factors):
-    # maps[a][code*n + x] = x_0 g_a + sum_p x_p img_p, img_p digit p-1 of code in base n
-    search = _GroupSearch(factors)
-    G, n, r = search.G, search.G.n, search.r
-    assert search.maps.shape == (r, n ** (r + 1))
+def test_linear_equals_the_coordinate_loop(factors):
+    # the search's shapes: e_0 goes to a basis element, the other images and
+    # the argument are (B, 1) parents against (m,) candidates, then 1-D
+    # filtered pairs, each from parents or candidates
+    G = CoordGroup(factors)
     rng = np.random.default_rng(5)
-    for a in range(r):
-        for code, x in zip(rng.integers(0, n**r, 300), rng.integers(0, n, 300)):
-            images = [search.basis_elts[a + 1]] + [int(code) // n**q % n for q in range(r)]
-            want = 0
-            for p, img in enumerate(images):
-                want = G.add[want, G.smul[G.dec[x, p], img]]
-            assert search.maps[a][code * n + x] == want, (a, code, x)
+    parents = rng.integers(0, G.n, (G.k, 40)).astype(np.int16)
+    cand = rng.integers(0, G.n, 7).astype(np.int16)
+    pi, ci = rng.integers(0, 40, 300), rng.integers(0, 7, 300)
+    for grid in ((np.arange(40)[:, None], np.arange(7)), (pi, ci)):
+        for new in range(G.k):
+            read = [cand.take(grid[1]) if p == new else parents[p].take(grid[0]) for p in range(G.k)]
+            for one in G.basis():
+                images = [one] + read[1:]
+                got = G.linear(images, read[0])
+                assert got.dtype == np.intp
+                assert np.array_equal(got, coordinate_loop(G, images, read[0])), (new, one)
 
 
-def test_an_oversized_map_table_is_refused_before_it_is_built():
-    # Z2^5 would need 4 * 32^5 = 134 M entries
+REFUSED_ORDERS = (32, 64, 81, 128, 243, 256, 343, 512, 625, 729, 1024)
+
+
+@pytest.mark.parametrize("order", REFUSED_ORDERS)
+def test_every_refused_prime_power_is_refused_at_once(order):
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
-        with pytest.raises(FinringError, match="map table"):
-            _GroupSearch((2, 2, 2, 2, 2))
+        with pytest.raises(FinringError, match="unsupported"):
+            enumerate_unital(order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - t0 < 1
     assert peak < 1 << 20
+
+
+def test_group_8222_classifies_in_little_memory():
+    # 6.7 MiB traced (2 vCPUs, Python 3.11, numpy 2.4); a table of every
+    # additive map into this group would hold 50,331,648 entries
+    tracemalloc.start()
+    try:
+        _GroupSearch((8, 2, 2, 2)).classes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def survivor_digest(rows):
@@ -413,7 +473,8 @@ def survivor_digest(rows):
 
 
 def test_order_32_group_4222_survivors_are_pinned():
-    # computed with the per-coordinate check that the map table replaced
+    # frozen from an earlier per-coordinate triple check, not from the
+    # search it pins
     search = _GroupSearch((4, 2, 2, 2))
     for rows in (np.unique(search.survivors(), axis=0), search.classes()[0]):
         assert rows.shape == (16192, 9)
