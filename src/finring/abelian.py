@@ -70,13 +70,6 @@ class CoordGroup:
             out = self.add.take(out * n + term) if p else term
         return out
 
-    def bilinear(self, P, x, y) -> np.ndarray:
-        """x*y by bilinearity from basis products P[..., p, q]; the leading axes
-        of P broadcast against the shape of x and y.  Each e_p y is
-        sum_q y_q P[..., p, q], and x*y is sum_p x_p (e_p y)."""
-        P = np.asarray(P)
-        return self.linear([self.linear(np.moveaxis(P[..., p, :], -1, 0), y) for p in range(self.k)], x)
-
     def encode(self, coords: np.ndarray) -> np.ndarray:
         """Index of each coordinate vector on the last axis, each coordinate
         taken mod its factor."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from .abelian import CoordGroup, _factorize, digit_tables, product_tables
 from .errors import InternalCheckError, TableStructureError
-from .table import MAX_ORDER, RingTable, _first_triple, checked
+from .table import MAX_ORDER, RingTable, _as_table, _first_triple, checked
 
 
 def cyclic(n: int) -> RingTable:
@@ -160,14 +160,15 @@ def _monomial_algebra(R0: RingTable, one, products, label, provenance: str) -> R
     return checked(RingTable(n, labels, add, mul, int(zero), int(one), provenance))
 
 
-def _check_coordinates(m: int, b: int) -> None:
-    """Refuse matrices with b free entries over a ring of order m once
-    max(m, 2)^b passes MAX_ORDER, so the zero ring is bounded too.  It runs
-    before anything is allocated and formats neither b nor m^b."""
+def _check_coordinates(m: int, b: int, what: str) -> None:
+    """Refuse what, a free module with b coordinates over a ring of order m
+    (matrices with b free entries, or a group algebra on b group elements),
+    once max(m, 2)^b passes MAX_ORDER, so the zero ring is bounded too.  It
+    runs before anything is allocated and formats neither b nor m^b."""
     if max(m, 2) ** min(b, MAX_ORDER) > MAX_ORDER:
         raise TableStructureError(
-            f"matrices over a ring of order {m} exceed cap {MAX_ORDER}: "
-            f"max({m}, 2)^b > {MAX_ORDER} for their b free entries"
+            f"{what} over a ring of order {m} exceed cap {MAX_ORDER}: "
+            f"max({m}, 2)^b > {MAX_ORDER} for their b coordinates"
         )
 
 
@@ -179,7 +180,7 @@ def _matrices(R0: RingTable, blocks: tuple, provenance: str) -> RingTable:
     if not blocks or min(blocks) < 1:
         raise TableStructureError(f"block sizes must be one or more positive ints, got {blocks}")
     k = sum(blocks)
-    _check_coordinates(R0.order, (k * k + sum(s * s for s in blocks)) // 2)
+    _check_coordinates(R0.order, (k * k + sum(s * s for s in blocks)) // 2, "matrices")
     edges = [0, *accumulate(blocks)]
     span = [range(a, z) for a, z in zip(edges, edges[1:])]
     pos = [(i, j) for I, rows in enumerate(span) for cols in span[I:] for i in rows for j in cols]
@@ -209,7 +210,7 @@ def matrix_ring(R0: RingTable, k: int) -> RingTable:
 def upper_triangular(R0: RingTable, k: int) -> RingTable:
     """Upper triangular k x k matrices over R0 (diagonal included)."""
     k = int(k)
-    _check_coordinates(R0.order, k * (k + 1) // 2)  # before (1,) * k is allocated
+    _check_coordinates(R0.order, k * (k + 1) // 2, "matrices")  # before (1,) * k is allocated
     return _matrices(R0, (1,) * k, f"U({k},{R0.provenance})")
 
 
@@ -234,10 +235,10 @@ class GroupTable:
     identity: int
 
     def validate(self) -> None:
-        op = self.op
         n = self.order
-        if op.shape != (n, n):
-            raise TableStructureError("group table shape mismatch")
+        op = _as_table(self.op, n, "group")
+        if not 0 <= self.identity < n:
+            raise TableStructureError(f"group identity {self.identity} is outside 0..{n - 1}")
         if _first_triple(n, lambda a0, a1: op[op[a0:a1]] != op[a0:a1][:, op]) is not None:
             raise TableStructureError("group operation not associative")
         ids = np.arange(n)
@@ -279,7 +280,11 @@ def quaternion_group() -> GroupTable:
 
 
 def group_algebra(F: RingTable, G: GroupTable) -> RingTable:
-    """The group ring F[G]: formal F-combinations of group elements."""
+    """The group ring F[G]: formal F-combinations of group elements.  Its
+    size is refused before G is validated, whose associativity scan is
+    O(|G|^3)."""
+    _check_coordinates(F.order, G.order, "group algebras")
+    G.validate()
     g = range(G.order)
     return _monomial_algebra(
         F,

@@ -21,10 +21,13 @@ become rows.  The assignments that pass are the survivors.
 Classes: two survivors give isomorphic rings exactly when an automorphism of
 G that fixes e_0 carries one set of basis products onto the other, since a
 ring isomorphism between them is additive and sends 1 to 1.  So the classes
-on G are the orbits of H = Stab_Aut(G)(e_0) on the survivors.  They are found
-from a small generating set of H by propagating the least survivor index
-along each generator's permutation of the survivors; only the least survivor
-of each orbit is built into a table and checked with verify_axioms.  No
+on G are the orbits of H = Stab_Aut(G)(e_0) on the survivors.  Each h in H
+acts on the assignments by an affine map of the slots, whose coefficients
+lookup writes down in closed form from the coordinates of h^-1(e_a).  The
+orbits are found from a small generating set of H by propagating the least
+survivor index along each generator's permutation of the survivors, which
+_closure alone reads off the images; only the least survivor of each orbit
+is built into a table and checked with verify_axioms.  No
 isomorphism search runs (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26, 1998; the tests check the orbit count against Burnside's
 lemma).
@@ -241,13 +244,12 @@ class _GroupSearch:
         log2 |H| of them."""
         basis = np.asarray(self.basis_elts[1:], dtype=np.int64)
         # an automorphism fixing e_0 is known by the images of the other e_i
-        radix = self.G.n ** np.arange(len(basis), dtype=np.int64)
-        codes = H[:, basis] @ radix
+        codes = self._codes(H[:, basis])
         order = np.argsort(codes)
         sorted_codes = codes[order]
 
         def index(images):
-            return order[np.searchsorted(sorted_codes, images @ radix)]
+            return order[np.searchsorted(sorted_codes, self._codes(images))]
 
         inside = np.zeros(len(H), dtype=bool)
         inside[index(basis[None, :])] = True
@@ -273,33 +275,36 @@ class _GroupSearch:
         rows = np.asarray(rows, dtype=np.int64)
         return rows @ self._radix(rows.shape[1])
 
-    def _rows(self, codes) -> np.ndarray:
-        """The full assignments with the given codes, as int16."""
-        return (codes[:, None] // self._radix(len(self.schedule)) % self.G.n).astype(np.int16)
-
-    def _bilinear_transport(self, rows, h) -> np.ndarray:
-        """The assignments h carries the given ones to: the ring with basis
-        products h(h^-1(e_i) h^-1(e_j)), to which h is an isomorphism."""
-        u = np.argsort(h)[self.basis_elts]
-        prod = h[self.G.bilinear(self.constants(rows)[:, None, None], u[:, None], u[None, :])]
-        i, j = np.array(self.schedule, dtype=np.int64).reshape(-1, 2).T
-        return prod[:, i + 1, j + 1]
+    def _rows(self, codes, width: int) -> np.ndarray:
+        """The assignments of the given width with the given codes, as int16."""
+        return (codes[:, None] // self._radix(width) % self.G.n).astype(np.int16)
 
     def lookup(self, h):
-        """(c, phi) with _bilinear_transport(x, h) at slot t equal to
-        c_t + sum_s phi[s, x_s, t]: h is additive and the product is bilinear
-        in the basis products.  c is the image of the zero assignment and
-        c_t + phi[s, v, t] that of the assignment with x_s = v alone."""
-        G, n, nslots = self.G, self.G.n, len(self.schedule)
-        probes = np.zeros((1 + nslots * n, nslots), dtype=np.int64)
-        probes[1 + np.arange(nslots * n), np.repeat(np.arange(nslots), n)] = np.tile(np.arange(n), nslots)
-        img = self._bilinear_transport(probes, h)
-        c = img[0]
-        return c, G.encode(G.dec[img[1:]] - G.dec[c]).reshape(nslots, n, nslots)
+        """(c, phi) such that h carries an assignment x to the one with slot t
+        equal to c_t + sum_s phi[s, x_s, t]: the ring with basis products
+        h(h^-1(e_a) h^-1(e_b)), to which h is an isomorphism.
+
+        With u_a the coordinates of h^-1(e_a), slot t = (a-1, b-1) of the
+        image is h(h^-1(e_a) h^-1(e_b)) = sum_pq u_ap u_bq h(e_p e_q), since h
+        is additive and the product bilinear.  For p, q >= 1, e_p e_q is slot
+        s = (p-1, q-1), so the value v there adds
+        phi[s, v, t] = h((u_ap u_bq mod exponent) v).  The terms with e_0 = 1
+        sum to c_t = u_a0 e_b + u_b0 e_a - u_a0 u_b0 e_0, as
+        sum_q u_bq h(e_q) = h(h^-1(e_b)) = e_b and h(e_0) = e_0."""
+        G = self.G
+        u = G.dec[np.argsort(h)[self.basis_elts]]
+        # the basis indices a, b of each slot (a-1, b-1)
+        a, b = np.array(self.schedule, dtype=np.intp).reshape(-1, 2).T + 1
+        # coef[t, s] = u_ap u_bq for t = (a-1, b-1) and s = (p-1, q-1)
+        coef = u[a][:, a] * u[b][:, b] % G.exponent
+        phi = h[G.smul[coef.T[:, None, :], np.arange(G.n)[:, None]]]
+        unit, a0, b0 = np.eye(self.k, dtype=np.int64), u[a, :1], u[b, :1]
+        c = G.encode(a0 * unit[b] + b0 * unit[a] - a0 * b0 * unit[0])
+        return c, phi
 
     def transport(self, rows, lookup) -> np.ndarray:
-        """_bilinear_transport by the (c, phi) of lookup(h), over the first
-        len(phi) slots of rows."""
+        """The images of rows under h by the (c, phi) of lookup(h), over the
+        first len(phi) slots of rows."""
         c, phi = lookup
         n, add = self.G.n, self.G.add.ravel()
         out = np.repeat(c[None, :], len(rows), axis=0)
@@ -311,15 +316,10 @@ class _GroupSearch:
         """For sorted, distinct survivors, the index of the least row in each
         row's H-orbit.  Two survivors give isomorphic rings exactly when they
         share an orbit, so the orbits are the isomorphism classes on this group."""
-        codes = self._codes(rows)
-        perms = []
-        for h in self.generators(self.stabiliser()):
-            image = self._codes(self.transport(rows, self.lookup(h)))
-            at = np.minimum(np.searchsorted(codes, image), len(codes) - 1)
-            if (codes[at] != image).any():
-                raise InternalCheckError("an automorphism fixing 1 maps a survivor outside the survivors")
-            perms.append(at)
-        return _least(perms, len(rows))
+        closed, least = self._closure(rows, [self.lookup(h) for h in self.generators(self.stabiliser())])
+        if len(closed) != len(rows):
+            raise InternalCheckError("an automorphism fixing 1 maps a survivor outside the survivors")
+        return least
 
     def classes(self):
         """np.unique(survivors(), axis=0) and orbits() of it, searched from the
@@ -331,40 +331,38 @@ class _GroupSearch:
         else:
             # column 0 ends after row 0, so no check applies to a row-0 prefix
             found = self._search([(self.r, self._least_prefixes(H))])
-        return self._closure(found, self.generators(H))
+        return self._closure(found, [self.lookup(h) for h in self.generators(H)])
 
     def _least_prefixes(self, H) -> np.ndarray:
         """The row-0 assignments that are least in their K-orbit."""
         r, e1 = self.r, self.basis_elts[1]
         prefixes = np.stack([v.ravel() for v in np.meshgrid(*self.omega[:r], indexing="ij")], axis=1)
-        codes = self._codes(prefixes)
-        perms = []
-        for k in self.generators(H[H[:, e1] == e1]):
-            c, phi = self.lookup(k)
-            # k fixes e_1, so image slot (0, j) = k(g_0 k^-1(g_j)) reads row 0 only
-            image = self.transport(prefixes, (c[:r], phi[:r, :, :r]))
-            perms.append(np.searchsorted(codes, self._codes(image)))
-        return prefixes[_least(perms, len(prefixes)) == np.arange(len(prefixes))]
+        # k fixes e_1, so image slot (0, j) = k(g_0 k^-1(g_j)) reads row 0 only
+        lookups = [(c[:r], phi[:r, :, :r]) for c, phi in map(self.lookup, self.generators(H[H[:, e1] == e1]))]
+        rows, least = self._closure(prefixes, lookups)
+        return rows[least == np.arange(len(rows))]
 
-    def _closure(self, found, gens):
-        """The closure of the assignments found under gens, sorted, and the
-        index of the least row in each row's orbit.  Each row is carried by
-        each generator once, and the permutations are read off those images."""
-        lookups = [self.lookup(h) for h in gens]
-        known = np.unique(self._codes(found))
-        frontier, moves = known, []
+    def _closure(self, found, lookups):
+        """The closure of the assignments found under the maps of lookups,
+        sorted, and the index of the least row in each row's orbit.  Each row
+        is carried by each map once, the rows of found as given, and the
+        permutations are read off those images."""
+        width, frontier = found.shape[1], self._codes(found)
+        known, rows, moves = np.unique(frontier), found, []
         while len(frontier):
-            rows = self._rows(frontier)
             images = [self._codes(self.transport(rows, L)) for L in lookups]
             moves.append((frontier, images))
-            frontier = np.setdiff1d(np.array(images, dtype=np.int64), known)
-            known = np.union1d(known, frontier)
-        perms = [np.empty(len(known), dtype=np.intp) for _ in gens]
+            reached = np.array(images, dtype=np.int64)
+            frontier = np.unique(reached[~np.isin(reached, known)])
+            # two sorted runs, which a stable sort merges in one pass
+            known = np.sort(np.concatenate([known, frontier]), kind="stable")
+            rows = self._rows(frontier, width)
+        perms = [np.empty(len(known), dtype=np.intp) for _ in lookups]
         for source, images in moves:
             at = np.searchsorted(known, source)
             for perm, image in zip(perms, images):
                 perm[at] = np.searchsorted(known, image)
-        return self._rows(known), _least(perms, len(known))
+        return self._rows(known, width), _least(perms, len(known))
 
 
 def _least(perms, m) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from finring.cli import main
-from finring.construct import GroupTable
+from finring.construct import GroupTable, galois, group_algebra
 from finring.errors import (
     AxiomViolationError,
     ExpressionError,
@@ -300,8 +300,34 @@ def test_oversized_matrices_are_refused_before_their_support_is_listed(capsys):
 def test_group_validation_finds_a_non_associative_operation():
     # 0 is an identity and every row holds it, but (1*1)*2 = 2 while 1*(1*2) = 1
     op = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+    G = GroupTable("bad", 3, ("e", "a", "b"), op, 0)
     with pytest.raises(TableStructureError, match="not associative"):
-        GroupTable("bad", 3, ("e", "a", "b"), op, 0).validate()
+        G.validate()
+    with pytest.raises(TableStructureError, match="not associative"):
+        group_algebra(galois(2), G)
+
+
+BAD_GROUPS = {
+    "entry-out-of-range": (GroupTable("B", 2, ("e", "g"), np.array([[0, 1], [1, 5]]), 0), "outside 0..1"),
+    "identity-out-of-range": (GroupTable("B", 2, ("e", "g"), np.array([[0, 1], [1, 0]]), 2), "identity 2"),
+    "float-table": (GroupTable("B", 2, ("e", "g"), np.array([[0.0, 1], [1, 0]]), 0), "must be integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GROUPS))
+def test_a_bad_group_table_is_refused_by_validate_and_group_algebra(name):
+    G, message = BAD_GROUPS[name]
+    with pytest.raises(TableStructureError, match=message):
+        G.validate()
+    with pytest.raises(TableStructureError, match=message):
+        group_algebra(galois(2), G)
+
+
+def test_group_algebra_refuses_its_size_before_validating_its_group():
+    # 2^11 elements: the table, which is not even a group, is never read
+    G = GroupTable("big", 11, tuple("abcdefghijk"), np.zeros((11, 11), dtype=np.int64), 0)
+    with pytest.raises(TableStructureError, match="exceed cap 1024"):
+        group_algebra(galois(2), G)
 
 
 # -- command line ---------------------------------------------------------------

@@ -118,6 +118,34 @@ MUTANTS = [
         "lhs = side(g[c + 1], (b, a),",
         ["tests/test_enumeration.py::test_triple_mask_equals_the_three_gather_check"],
     ),
+    (
+        "lookup-drops-the-e0-term-of-c",
+        "enumeration.py",
+        "c = G.encode(a0 * unit[b] + b0 * unit[a] - a0 * b0 * unit[0])",
+        "c = G.encode(a0 * unit[b] + b0 * unit[a])",
+        ["tests/test_enumeration.py::test_lookup_transport_equals_the_bilinear_transport"],
+    ),
+    (
+        "lookup-pairs-the-coordinates-crosswise",
+        "enumeration.py",
+        "coef = u[a][:, a] * u[b][:, b] % G.exponent",
+        "coef = u[a][:, b] * u[b][:, a] % G.exponent",
+        ["tests/test_enumeration.py::test_lookup_transport_equals_the_bilinear_transport"],
+    ),
+    (
+        "closure-drops-a-reached-row-per-round",
+        "enumeration.py",
+        "frontier = np.unique(reached[~np.isin(reached, known)])",
+        "frontier = np.unique(reached[~np.isin(reached, known)])[1:]",
+        ["tests/test_enumeration.py::test_classes_equal_the_full_search_and_its_orbits"],
+    ),
+    (
+        "orbits-accepts-an-image-outside-the-survivors",
+        "enumeration.py",
+        "if len(closed) != len(rows):",
+        "if False:",
+        ["tests/test_enumeration.py::test_an_image_outside_the_survivors_is_an_internal_error"],
+    ),
 ]
 
 
